@@ -499,7 +499,11 @@ def find_long_path(g: Graph, min_vertices: int) -> LongPathResult:
     path = _dfs_long_path(g, min_vertices)
     if path is None and guarantee:
         path = _density_long_path(g, min_vertices)
-        assert path is not None and len(path) >= min_vertices
+        if path is None or len(path) < min_vertices:
+            raise RuntimeError(
+                f"density guarantee broken: {g.num_edges()} edges on {n} "
+                f"vertices but no path on {min_vertices} vertices was built"
+            )
     return LongPathResult(path, density_guarantee=guarantee)
 
 

@@ -7,6 +7,11 @@ maximality is anchored at each of the three pattern edge orbits in turn:
 xy as the hub edge, xy as a hub-to-page edge, and xy as an interior page
 edge.  All searches are exhaustive and deterministic (neighbors visited in
 ascending-degree order, ties by id).
+
+The path kernel prunes with two necessary conditions, walk masks in
+`_iter_paths` and a layered cut bound in `_find_pages`; each cuts only
+branches that cannot succeed, so verdicts and first witnesses are the same
+as those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .graph import Graph, bfs_distances, bits, mask_of
+from .graph import Graph, bits, mask_of
 from .pattern import build_odd_book
 
 DEFAULT_SIZE_LIMIT = 512
@@ -120,25 +125,90 @@ def validate_witness(g: Graph, w: Witness) -> bool:
 # path machinery
 
 
-def _neighbor_orders(g: Graph) -> list[tuple[int, ...]]:
-    deg = [row.bit_count() for row in g.adj]
-    return [
-        tuple(sorted(bits(row), key=lambda w: (deg[w], w))) for row in g.adj
-    ]
+class _Orders(dict):
+    """Search state for one graph state.
+
+    `orders[v]` lists the neighbors of v in ascending (degree, id) order, the
+    order every search visits them in.  A row is sorted when a search first
+    reads it, because a search that stops early reads few rows.  `deg` holds
+    the degrees, and walk masks are memoised per goal.  The object reads the
+    graph's adjacency list in place, so after the graph gains an edge call
+    `edge_added` before the next search.
+    """
+
+    __slots__ = ("adj", "deg", "_walks")
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.adj = g.adj
+        self.deg = [row.bit_count() for row in g.adj]
+        self._walks: dict[int, list[int]] = {}
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        deg = self.deg
+        row = self[v] = tuple(sorted(bits(self.adj[v]), key=lambda w: (deg[w], w)))
+        return row
+
+    def walks(self, goal: int, depth: int) -> list[int]:
+        """Masks W_0..W_depth (at least) for `goal`: W_d holds the vertices
+        with a walk of exactly d edges to goal, so W_0 = {goal} and W_{d+1}
+        is the neighborhood of W_d."""
+        masks = self._walks.get(goal)
+        if masks is None:
+            masks = self._walks[goal] = [1 << goal]
+        while len(masks) <= depth:
+            masks.append(_neighborhood(self.adj, masks[-1]))
+        return masks
+
+    def edge_added(self, u: int, v: int) -> None:
+        """Catch up with the new edge uv: only u and v change degree, so only
+        the rows that contain u or v, those of N(u) | N(v), are dropped to be
+        sorted again on next use.  The edge adds walks, so every memoised
+        mask is dropped."""
+        self.deg[u] += 1
+        self.deg[v] += 1
+        adj = self.adj
+        for w in bits(adj[u] | adj[v]):
+            self.pop(w, None)
+        self._walks.clear()
 
 
-def _iter_paths(adj, orders, start, goal, length, banned):
+def _neighbor_orders(g: Graph) -> _Orders:
+    return _Orders(g)
+
+
+def _neighborhood(adj, mask):
+    """Mask of the vertices adjacent to some vertex of `mask`."""
+    reach = 0
+    for v in bits(mask):
+        reach |= adj[v]
+    return reach
+
+
+def _iter_paths(orders, start, goal, length, banned):
     """Yield interior tuples of start-goal paths with exactly `length` edges.
 
     Interiors avoid `banned`; start and goal are excluded automatically.
     Exhaustive; neighbor order gives determinism.
+
+    Two pruning rules cut only branches that yield nothing, so the paths
+    that are yielded keep their order:
+
+    * walk mask: with `rem` edges left after the current vertex, the next
+      vertex w must lie in W_{rem-1}(goal), because the rest of a path is a
+      walk of rem-1 edges from w to goal;
+    * look-ahead: when rem >= 3, w must also have a neighbor outside the
+      used set in W_{rem-2}(goal), namely the vertex that follows w on the
+      path; it is tested before descending, so a dead end costs no call.
     """
     if length < 1:
         return
+    adj = orders.adj
     if length == 1:
         if adj[start] >> goal & 1:
             yield ()
         return
+    masks = orders.walks(goal, length - 1)
     goal_adj = adj[goal]
     interior: list[int] = []
 
@@ -153,14 +223,15 @@ def _iter_paths(adj, orders, start, goal, length, banned):
                     yield tuple(interior)
                     interior.pop()
             return
-        cand = adj[v] & ~used
+        cand = adj[v] & masks[rem - 1] & ~used
         if not cand:
             return
+        ahead = masks[rem - 2]
         for w in orders[v]:
             if not cand >> w & 1:
                 continue
             used_w = used | 1 << w
-            if rem == 3 and not adj[w] & goal_adj & ~used_w:
+            if not adj[w] & ahead & ~used_w:
                 continue
             interior.append(w)
             yield from extend(w, rem - 1, used_w)
@@ -169,17 +240,59 @@ def _iter_paths(adj, orders, start, goal, length, banned):
     yield from extend(start, length, banned | 1 << start | 1 << goal)
 
 
-def _find_pages(adj, orders, h1, h2, count, length, banned):
+def _layers_admit(adj, h1, h2, count, length, banned):
+    """Necessary condition for `count` interior-disjoint h1-h2 pages of
+    `length` edges avoiding `banned`.
+
+    Layer i (1 <= i < length) is the set of allowed vertices (not banned,
+    not a hub) at position i of some h1-h2 walk of `length` edges whose
+    interior is allowed: a forward sweep from h1 gives the vertices reachable
+    at position i, and a backward sweep from h2 inside those keeps the ones
+    that can still finish.  The pages are such walks with distinct vertices
+    at every position, so each layer needs `count` vertices.  For count = 2
+    this is Menger's theorem on the layered graph: a single vertex separates
+    its copies of h1 and h2 exactly when some layer holds one vertex.  The
+    pages' interiors are also disjoint sets of length-1 vertices inside the
+    union of the layers, so the union needs count * (length-1) vertices.
+    """
+    allowed = ~(banned | 1 << h1 | 1 << h2)
+    fwd = [1 << h1]
+    for _ in range(length - 1):
+        reach = _neighborhood(adj, fwd[-1]) & allowed
+        if reach.bit_count() < count:
+            return False
+        fwd.append(reach)
+    layer = 1 << h2
+    union = 0
+    for i in range(length - 1, 0, -1):
+        layer = _neighborhood(adj, layer) & fwd[i]
+        if layer.bit_count() < count:
+            return False
+        union |= layer
+    return union.bit_count() >= count * (length - 1)
+
+
+def _find_pages(orders, h1, h2, count, length, banned):
     """`count` internally disjoint h1-h2 paths of exact `length` edges with
-    interiors avoiding `banned`; list of interior tuples, or None."""
+    interiors avoiding `banned`; list of interior tuples, or None.
+
+    When count >= 2 and the first candidate page cannot be completed, the
+    layer bound of `_layers_admit` decides whether the other candidates are
+    worth trying; it is checked that late so that hits pay nothing for it.
+    """
     if count == 0:
         return []
-    for interior in _iter_paths(adj, orders, h1, h2, length, banned):
+    bounded = count < 2
+    for interior in _iter_paths(orders, h1, h2, length, banned):
         rest = _find_pages(
-            adj, orders, h1, h2, count - 1, length, banned | mask_of(interior)
+            orders, h1, h2, count - 1, length, banned | mask_of(interior)
         )
         if rest is not None:
             return [interior] + rest
+        if not bounded:
+            bounded = True
+            if not _layers_admit(orders.adj, h1, h2, count, length, banned):
+                return None
     return None
 
 
@@ -204,31 +317,27 @@ def find_book_at_edge(
     if x == y:
         raise ValueError("probe pair must be two distinct vertices")
     orders = _orders if _orders is not None else _neighbor_orders(g)
-    adj = g.adj
-    if adj[x].bit_count() < s or adj[y].bit_count() < s:
+    if orders.deg[x] < s or orders.deg[y] < s:
         return None
-    pages = _find_pages(adj, orders, x, y, s, 2 * k, 0)
+    pages = _find_pages(orders, x, y, s, 2 * k, 0)
     if pages is None:
         return None
     return _witness(s, k, x, y, pages, ANCHOR_HUB, (x, y))
 
 
-def _find_hub_page_anchored(g, orders, hub, end, s, k):
+def _find_hub_page_anchored(orders, hub, end, s, k):
     """Copies where `hub` is a hub and `end` is the page interior adjacent to
     it, with the probe pair (hub, end) as the connecting edge."""
-    adj = g.adj
-    if adj[hub].bit_count() < s:
+    deg = orders.deg
+    if deg[hub] < s or deg[end] < 1:
         return None
-    if adj[end].bit_count() < 1:
-        return None
-    deg = [row.bit_count() for row in adj]
     for other in orders[hub]:
         if other == end or deg[other] < s + 1:
             continue
-        for tail in _iter_paths(adj, orders, end, other, 2 * k - 1, 1 << hub):
+        for tail in _iter_paths(orders, end, other, 2 * k - 1, 1 << hub):
             first_page = (end,) + tail
             rest = _find_pages(
-                adj, orders, hub, other, s - 1, 2 * k, mask_of(first_page)
+                orders, hub, other, s - 1, 2 * k, mask_of(first_page)
             )
             if rest is not None:
                 return _witness(s, k, hub, other, [first_page] + rest,
@@ -236,33 +345,39 @@ def _find_hub_page_anchored(g, orders, hub, end, s, k):
     return None
 
 
-def _find_interior_anchored(g, orders, x, y, s, k):
+def _find_interior_anchored(orders, x, y, s, k):
     """Copies where (x, y) is an interior page edge, x at distance r from one
     hub and y at distance 2k-1-r from the other.  Sweeping r over 1..2k-2
-    with x on the near side covers both traversal directions."""
+    with x on the near side covers both traversal directions.
+
+    The near hub u starts a u-x path of r edges and the far hub v ends a
+    y-v path of 2k-1-r edges, so u must lie in W_r(x) and v in
+    W_{2k-1-r}(y); both masks are walk masks, which bound distance and
+    parity at once.
+    """
     if k < 2:
         return None
-    adj = g.adj
-    deg = [row.bit_count() for row in adj]
-    dist_x = bfs_distances(g, x)
-    dist_y = bfs_distances(g, y)
+    deg = orders.deg
     pair_mask = 1 << x | 1 << y
+    walks_x = orders.walks(x, 2 * k - 2)
+    walks_y = orders.walks(y, 2 * k - 2)
     for r in range(1, 2 * k - 1):
         tail_len = 2 * k - 1 - r
-        for u in range(g.n):
-            if pair_mask >> u & 1 or deg[u] < s + 1 or dist_x[u] > r:
+        far = walks_y[tail_len] & ~pair_mask
+        for u in bits(walks_x[r] & ~pair_mask):
+            if deg[u] < s + 1:
                 continue
             for v in orders[u]:
-                if pair_mask >> v & 1 or deg[v] < s + 1 or dist_y[v] > tail_len:
+                if not far >> v & 1 or deg[v] < s + 1:
                     continue
-                for seg1 in _iter_paths(adj, orders, u, x, r, 1 << v | 1 << y):
+                for seg1 in _iter_paths(orders, u, x, r, 1 << v | 1 << y):
                     seg1_mask = mask_of(seg1)
                     for seg2 in _iter_paths(
-                        adj, orders, y, v, tail_len, seg1_mask | 1 << u | 1 << x
+                        orders, y, v, tail_len, seg1_mask | 1 << u | 1 << x
                     ):
                         page = seg1 + (x, y) + seg2
                         rest = _find_pages(
-                            adj, orders, u, v, s - 1, 2 * k,
+                            orders, u, v, s - 1, 2 * k,
                             seg1_mask | mask_of(seg2) | pair_mask,
                         )
                         if rest is not None:
@@ -280,14 +395,14 @@ def find_book_using_edge(
     w = find_book_at_edge(g, x, y, s, k, _orders=orders)
     if w is not None:
         return w
-    w = _find_hub_page_anchored(g, orders, x, y, s, k)
+    w = _find_hub_page_anchored(orders, x, y, s, k)
     if w is None:
-        w = _find_hub_page_anchored(g, orders, y, x, s, k)
+        w = _find_hub_page_anchored(orders, y, x, s, k)
         if w is not None:
             w = replace(w, probe=(x, y))
     if w is not None:
         return w
-    return _find_interior_anchored(g, orders, x, y, s, k)
+    return _find_interior_anchored(orders, x, y, s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -388,5 +503,5 @@ def saturate(
             if find_book_using_edge(out, u, v, s, k, _orders=orders) is None:
                 out.add_edge(u, v)
                 added.append((u, v))
-                orders = _neighbor_orders(out)
+                orders.edge_added(u, v)
     return out, added

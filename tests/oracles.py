@@ -133,3 +133,67 @@ def disjoint_page_pair_exists(g: Graph, x: int, y: int, k: int) -> bool:
         if not a & b:
             return True
     return False
+
+
+# The odd-book path kernel without walk masks or the layer bound.  The
+# production kernel only prunes branches that yield nothing, so it must
+# yield the same paths in the same order.
+
+
+def neighbor_orders_ref(g: Graph) -> list[tuple[int, ...]]:
+    deg = [row.bit_count() for row in g.adj]
+    return [
+        tuple(sorted(bits(row), key=lambda w: (deg[w], w))) for row in g.adj
+    ]
+
+
+def iter_paths_ref(adj, orders, start, goal, length, banned):
+    """Interior tuples of start-goal paths with exactly `length` edges whose
+    interiors avoid `banned`, in neighbor-order DFS order."""
+    if length < 1:
+        return
+    if length == 1:
+        if adj[start] >> goal & 1:
+            yield ()
+        return
+    goal_adj = adj[goal]
+    interior: list[int] = []
+
+    def extend(v, rem, used):
+        if rem == 2:
+            cand = adj[v] & goal_adj & ~used
+            if not cand:
+                return
+            for w in orders[v]:
+                if cand >> w & 1:
+                    interior.append(w)
+                    yield tuple(interior)
+                    interior.pop()
+            return
+        cand = adj[v] & ~used
+        if not cand:
+            return
+        for w in orders[v]:
+            if not cand >> w & 1:
+                continue
+            used_w = used | 1 << w
+            if rem == 3 and not adj[w] & goal_adj & ~used_w:
+                continue
+            interior.append(w)
+            yield from extend(w, rem - 1, used_w)
+            interior.pop()
+
+    yield from extend(start, length, banned | 1 << start | 1 << goal)
+
+
+def find_pages_ref(adj, orders, h1, h2, count, length, banned):
+    """First `count` interior-disjoint h1-h2 paths in DFS order, or None."""
+    if count == 0:
+        return []
+    for interior in iter_paths_ref(adj, orders, h1, h2, length, banned):
+        rest = find_pages_ref(
+            adj, orders, h1, h2, count - 1, length, banned | mask_of(interior)
+        )
+        if rest is not None:
+            return [interior] + rest
+    return None

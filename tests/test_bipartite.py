@@ -282,6 +282,16 @@ def test_long_path_complete_graph():
     assert res.path is not None and len(res.path) == 8
 
 
+def test_long_path_broken_guarantee_raises(monkeypatch):
+    # the fallback must not rely on `assert`, which `python -O` strips
+    from oddbook import bipartite
+
+    monkeypatch.setattr(bipartite, "_dfs_long_path", lambda g, target: None)
+    monkeypatch.setattr(bipartite, "_density_long_path", lambda g, target: None)
+    with pytest.raises(RuntimeError, match="density guarantee"):
+        find_long_path(complete_graph(8), 8)
+
+
 # ---------------------------------------------------------------------------
 # truncation
 

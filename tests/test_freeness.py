@@ -1,9 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oddbook.construction import build_min_member, plan_layout
 from oddbook.freeness import (
     NotBookFreeError,
+    _find_pages,
+    _iter_paths,
+    _layers_admit,
+    _neighbor_orders,
     find_book_at_edge,
     find_book_using_edge,
     is_book_free,
@@ -19,7 +27,13 @@ from oddbook.graph import (
     random_graph,
 )
 from oddbook.pattern import book_order
-from .oracles import contains_book_naive, disjoint_page_pair_exists
+from .oracles import (
+    contains_book_naive,
+    disjoint_page_pair_exists,
+    find_pages_ref,
+    iter_paths_ref,
+    neighbor_orders_ref,
+)
 
 
 def test_k5_contains_triangle_book():
@@ -231,3 +245,105 @@ def test_parallel_probes_agree(min_member_64):
     serial = is_maximal_book_free(min_member_64.graph, 2, 2)
     parallel = is_maximal_book_free(min_member_64.graph, 2, 2, workers=2)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# pruned path kernel against the unpruned reference kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_kernel_matches_unpruned_kernel(seed):
+    # pruning may only cut branches that yield nothing: same paths in the
+    # same order, same first pages, for every length an anchor search uses
+    rng = random.Random(seed)
+    n = rng.randrange(4, 10)
+    g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+    orders = _neighbor_orders(g)
+    ref = neighbor_orders_ref(g)
+    assert [orders[v] for v in range(n)] == ref
+    for _ in range(3):
+        h1, h2 = rng.sample(range(n), 2)
+        banned = rng.getrandbits(n) & ~(1 << h1 | 1 << h2) if rng.random() < 0.5 else 0
+        for length in range(1, 7):
+            assert list(_iter_paths(orders, h1, h2, length, banned)) == list(
+                iter_paths_ref(g.adj, ref, h1, h2, length, banned)
+            )
+        for s in (1, 2, 3):
+            for k in (1, 2, 3):
+                pages = find_pages_ref(g.adj, ref, h1, h2, s, 2 * k, banned)
+                assert _find_pages(orders, h1, h2, s, 2 * k, banned) == pages
+                if pages is not None:
+                    assert _layers_admit(g.adj, h1, h2, s, 2 * k, banned)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_layer_bound_admits_every_copy(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(5, 11)
+    g = random_graph(n, rng.uniform(0.4, 0.9), rng)
+    s, k = rng.choice(((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3)))
+    ref = neighbor_orders_ref(g)
+    hubs = [
+        (u, v) for u, v in g.edges()
+        if find_pages_ref(g.adj, ref, u, v, s, 2 * k, 0) is not None
+    ]
+    assert bool(hubs) == contains_book_naive(g, s, k)
+    for u, v in hubs:
+        assert _layers_admit(g.adj, u, v, s, 2 * k, 0)
+        assert _layers_admit(g.adj, v, u, s, 2 * k, 0)
+
+
+def test_layer_bound_rejects_single_vertex_cut():
+    # two 4-edge routes from 0 to 1 that share their middle vertex 4
+    g = Graph.from_edges(7, [(0, 2), (2, 4), (4, 5), (5, 1), (0, 3), (3, 4), (4, 6), (6, 1)])
+    assert _layers_admit(g.adj, 0, 1, 1, 4, 0)
+    assert not _layers_admit(g.adj, 0, 1, 2, 4, 0)
+
+
+def test_layer_bound_rejects_too_few_vertices():
+    # every layer of K6 holds the four non-hubs, but two pages of length 4
+    # need six interior vertices
+    g = complete_graph(6)
+    assert _layers_admit(g.adj, 0, 1, 1, 4, 0)
+    assert not _layers_admit(g.adj, 0, 1, 2, 4, 0)
+
+
+def test_incremental_orders_match_fresh(rng):
+    for _ in range(20):
+        n = rng.randrange(5, 16)
+        g = random_graph(n, 0.3, rng)
+        orders = _neighbor_orders(g)
+        for w in range(n):
+            orders[w]  # sort every row now, so that a stale one would show
+        orders.walks(0, 3)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+        rng.shuffle(pairs)
+        for u, v in pairs[:6]:
+            g.add_edge(u, v)
+            orders.edge_added(u, v)
+            fresh = _neighbor_orders(g)
+            assert [orders[w] for w in range(n)] == [fresh[w] for w in range(n)]
+            assert orders.deg == fresh.deg
+            assert orders.walks(0, 3) == fresh.walks(0, 3)
+
+
+def _runs(u, lo, hi):
+    return [(u, v) for v in range(lo, hi)]
+
+
+SATURATE_ADDED = {
+    64: [(32, 34), (32, 37), *_runs(32, 44, 54), (34, 35), *_runs(34, 54, 64),
+         (35, 37), (38, 40), (38, 43), (40, 41), (41, 43)],
+    128: [(40, 42), (40, 45), *_runs(40, 52, 90), (42, 43), *_runs(42, 90, 128),
+          (43, 45), (46, 48), (46, 51), (48, 49), (49, 51)],
+}
+
+
+@pytest.mark.parametrize("n, count", [(64, 28), (128, 84)])
+def test_saturate_added_edges_pinned(n, count):
+    g = build_min_member(plan_layout(n, 2, 2, Fraction(1, 2))).graph
+    _, added = saturate(g, 2, 2)
+    assert len(added) == count
+    assert added == SATURATE_ADDED[n]
