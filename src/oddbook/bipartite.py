@@ -85,55 +85,55 @@ class BicliqueSearch:
 
 def greedy_biclique(g: Graph) -> Biclique:
     """Deterministic greedy seed: grow from every start vertex, assign each
-    chosen candidate to the side keeping the most future candidates."""
+    chosen candidate to the side keeping the most future candidates.
+
+    The left and right candidate sets are disjoint, so with d the number of
+    u's neighbors among left candidates minus those among right candidates,
+    u keeps |cand_r| - 1 + d candidates when it joins the right side and
+    |cand_l| - 1 - d when it joins the left; ties go to the smallest u.  A
+    start stops once its size plus its candidates cannot beat the incumbent,
+    which is replaced only by a strictly larger biclique.
+    """
+    adj = g.adj
     best = Biclique(0, 0)
-    if g.n == 0:
-        return best
-    starts = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for v0 in starts:
-        left = 1 << v0
-        right = 0
-        cand_l = ~g.adj[v0] & g.vertex_mask & ~left
-        cand_r = g.adj[v0]
-        while cand_l | cand_r:
-            pick = None
-            for u in bits(cand_l | cand_r):
-                to_left = bool(cand_l >> u & 1)
-                to_right = bool(cand_r >> u & 1)
-                score = -1
-                side = None
-                if to_right:
-                    nl = cand_l & g.adj[u] & ~(1 << u)
-                    nr = cand_r & ~g.adj[u] & ~(1 << u)
-                    score = (nl | nr).bit_count()
-                    side = "r"
-                if to_left:
-                    nl = cand_l & ~g.adj[u] & ~(1 << u)
-                    nr = cand_r & g.adj[u] & ~(1 << u)
-                    sc = (nl | nr).bit_count()
-                    if sc > score:
-                        score = sc
-                        side = "l"
-                if pick is None or score > pick[0]:
-                    pick = (score, u, side)
-            _, u, side = pick
-            if side == "l":
-                left |= 1 << u
-                cand_l &= ~g.adj[u]
-                cand_r &= g.adj[u]
+    best_size = 0
+    for v0 in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        left, right, size = 1 << v0, 0, 1
+        cand_l = ~adj[v0] & g.vertex_mask & ~left
+        cand_r = adj[v0]
+        while True:
+            cand = cand_l | cand_r
+            if size + cand.bit_count() <= best_size:
+                break
+            if not cand:
+                best, best_size = Biclique(left, right), size
+                break
+            keep_l = cand_l.bit_count() - 1
+            keep_r = cand_r.bit_count() - 1
+            top = -1
+            for u in bits(cand):
+                row = adj[u]
+                d = (cand_l & row).bit_count() - (cand_r & row).bit_count()
+                score = keep_r + d if cand_r >> u & 1 else keep_l - d
+                if score > top:
+                    top, pick = score, u
+            ubit = 1 << pick
+            row = adj[pick]
+            if cand_r & ubit:
+                right |= ubit
+                cand_l &= row
+                cand_r &= ~row & ~ubit
             else:
-                right |= 1 << u
-                cand_l &= g.adj[u]
-                cand_r &= ~g.adj[u]
-            cand_l &= ~(1 << u)
-            cand_r &= ~(1 << u)
-        if left.bit_count() + right.bit_count() > best.size:
-            best = Biclique(left, right)
+                left |= ubit
+                cand_l &= ~row & ~ubit
+                cand_r &= row
+            size += 1
     return best
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:
-    """Groups of vertices with identical open neighborhoods (false twins).
+    """Groups of vertices with identical open neighborhoods (false twins),
+    in order of their first vertex.
 
     Such a class is independent and sits wholly inside one side of some
     maximum biclique or wholly outside it, so searching over whole classes
@@ -152,31 +152,39 @@ def max_induced_complete_bipartite(
 
     False-twin classes are collapsed into weighted quotient vertices first;
     the bound is committed weight plus the weight of all candidates still
-    consistent with a side.  When the node budget runs out the incumbent
-    is returned with optimal=False and upper_bound covering every open node.
+    consistent with a side.  Each node branches on the heaviest open class,
+    ties to the class with the smallest first vertex: the classes are
+    relabeled once in that canonical order, so the branching class is the
+    lowest set bit.  Weights are kept as bit planes, planes[b] holding the
+    classes whose weight has bit b set, so the weight of a class set is one
+    popcount per plane; the committed weight rides on the stack.  The node
+    count is part of the output: these choices change the cost of a node,
+    never which nodes are visited.  When the node budget runs out the
+    incumbent is returned with optimal=False and upper_bound covering every
+    open node.
     """
     if g.n == 0:
         return BicliqueSearch(
             best=Biclique(0, 0), optimal=True, nodes=0, upper_bound=0, budget=budget
         )
-    classes = _twin_classes(g)
+    classes = sorted(_twin_classes(g), key=lambda c: -len(c))
     m = len(classes)
     weight = [len(c) for c in classes]
     cmask = [mask_of(c) for c in classes]
-    reps = [c[0] for c in classes]
-    qadj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if g.adj[reps[i]] >> reps[j] & 1:
-                qadj[i] |= 1 << j
-                qadj[j] |= 1 << i
+    label = [0] * g.n
+    for i, c in enumerate(classes):
+        for v in c:
+            label[v] = i
+    qadj = [mask_of(label[w] for w in bits(g.adj[c[0]])) for c in classes]
+    planes = [
+        (b, mask_of(i for i in range(m) if weight[i] >> b & 1))
+        for b in range(weight[0].bit_length())
+    ]
 
     def wsum(mask: int) -> int:
         total = 0
-        while mask:
-            low = mask & -mask
-            total += weight[low.bit_length() - 1]
-            mask ^= low
+        for b, plane in planes:
+            total += (mask & plane).bit_count() << b
         return total
 
     def expand(class_mask: int) -> int:
@@ -185,46 +193,40 @@ def max_induced_complete_bipartite(
             out |= cmask[i]
         return out
 
-    seed = greedy_biclique(g)
-    best = seed
-    best_size = seed.size
+    best = greedy_biclique(g)
+    best_size = best.size
     nodes = 0
-    aborted = False
-    open_bound = 0
     full = (1 << m) - 1
 
-    # stack entries over quotient classes: (left, right, cand_left, cand_right)
-    stack: list[tuple[int, int, int, int]] = [(0, 0, full, full)]
-    while stack:
-        if nodes >= budget:
-            aborted = True
-            for left, right, cl, cr in stack:
-                open_bound = max(open_bound, wsum(left) + wsum(right) + wsum(cl | cr))
-            break
+    # stack entries over quotient classes:
+    # (left, right, cand_left, cand_right, committed weight)
+    stack: list[tuple[int, int, int, int, int]] = [(0, 0, full, full, 0)]
+    while stack and nodes < budget:
         nodes += 1
-        left, right, cl, cr = stack.pop()
+        left, right, cl, cr, size = stack.pop()
         cu = cl | cr
-        size = wsum(left) + wsum(right)
         if size + wsum(cu) <= best_size:
             continue
         if not cu:
-            if size > best_size:
-                best = Biclique(expand(left), expand(right))
-                best_size = size
+            best = Biclique(expand(left), expand(right))
+            best_size = size
             continue
-        v = max(bits(cu), key=lambda i: (weight[i], -i))
-        vbit = 1 << v
+        vbit = cu & -cu
+        v = vbit.bit_length() - 1
+        adj_v = qadj[v]
+        grown = size + weight[v]
         # exclude branch first so assignment branches pop first (DFS
         # dives toward large bicliques early)
-        stack.append((left, right, cl & ~vbit, cr & ~vbit))
-        if cr >> v & 1 and (left or right):
-            stack.append((left, right | vbit, cl & qadj[v], cr & ~qadj[v] & ~vbit))
-        if cl >> v & 1:
-            stack.append((left | vbit, right, cl & ~qadj[v] & ~vbit, cr & qadj[v]))
+        stack.append((left, right, cl & ~vbit, cr & ~vbit, size))
+        if cr & vbit and (left or right):
+            stack.append((left, right | vbit, cl & adj_v, cr & ~adj_v & ~vbit, grown))
+        if cl & vbit:
+            stack.append((left | vbit, right, cl & ~adj_v & ~vbit, cr & adj_v, grown))
 
-    upper = best_size if not aborted else max(best_size, open_bound)
+    # a nonempty stack means the budget ran out; its open nodes bound the rest
+    upper = max([best_size] + [size + wsum(cl | cr) for _, _, cl, cr, size in stack])
     return BicliqueSearch(
-        best=best, optimal=not aborted, nodes=nodes, upper_bound=upper, budget=budget
+        best=best, optimal=not stack, nodes=nodes, upper_bound=upper, budget=budget
     )
 
 

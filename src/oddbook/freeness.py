@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .graph import Graph, bits, mask_of
-from .pattern import build_odd_book
+from .pattern import book_order, build_odd_book
 
 DEFAULT_SIZE_LIMIT = 512
 
@@ -327,12 +327,17 @@ def find_book_at_edge(
 
 def _find_hub_page_anchored(orders, hub, end, s, k):
     """Copies where `hub` is a hub and `end` is the page interior adjacent to
-    it, with the probe pair (hub, end) as the connecting edge."""
+    it, with the probe pair (hub, end) as the connecting edge.
+
+    The rest of that page is an end-other path of 2k-1 edges, and every path
+    is a walk, so the other hub must lie in W_{2k-1}(end).
+    """
     deg = orders.deg
     if deg[hub] < s or deg[end] < 1:
         return None
+    reach = orders.walks(end, 2 * k - 1)[2 * k - 1]
     for other in orders[hub]:
-        if other == end or deg[other] < s + 1:
+        if other == end or deg[other] < s + 1 or not reach >> other & 1:
             continue
         for tail in _iter_paths(orders, end, other, 2 * k - 1, 1 << hub):
             first_page = (end,) + tail
@@ -390,10 +395,14 @@ def find_book_using_edge(
     g: Graph, x: int, y: int, s: int, k: int, _orders=None
 ) -> Witness | None:
     """Copy of the odd book in G+xy that uses the pair (x, y) in any pattern
-    position; None only when no such copy exists (exhaustive)."""
+    position; None only when no such copy exists (exhaustive).
+
+    A copy needs book_order(s, k) distinct vertices, so on a smaller host
+    the hub-page and page-interior searches are skipped.
+    """
     orders = _orders if _orders is not None else _neighbor_orders(g)
     w = find_book_at_edge(g, x, y, s, k, _orders=orders)
-    if w is not None:
+    if w is not None or g.n < book_order(s, k):
         return w
     w = _find_hub_page_anchored(orders, x, y, s, k)
     if w is None:

@@ -422,34 +422,25 @@ def decode_graph6(text: str | bytes) -> Graph:
     if len(data) - pos > nbytes:
         raise GraphFormatError("trailing bytes after graph6 bit vector", pos + nbytes)
     g = Graph(n)
-    bit = 0
+    adj = g.adj
+    # bits run down the columns of the upper triangle: (0,1), (0,2), (1,2), ...
+    row, col = 0, 1
     for i in range(nbytes):
         c = data[pos + i] - 63
         if c < 0 or c > 63:
             raise GraphFormatError("invalid byte in graph6 bit vector", pos + i)
         for shift in range(5, -1, -1):
-            if bit >= nbits:
+            if col == n:
                 if c >> shift & 1:
                     raise GraphFormatError("nonzero padding in graph6 bit vector", pos + i)
                 continue
             if c >> shift & 1:
-                col = _g6_column(bit, n)
-                row = bit - col * (col - 1) // 2
-                g.add_edge(row, col)
-            bit += 1
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
     return g
-
-
-def _g6_column(bit_index: int, n: int) -> int:
-    # column c covers bit positions [c(c-1)/2, c(c+1)/2)
-    lo, hi = 1, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid * (mid + 1) // 2 > bit_index:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 # ---------------------------------------------------------------------------

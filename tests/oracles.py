@@ -6,7 +6,8 @@ oracle enumerates subsets, and the path oracle enumerates simple paths.
 
 from itertools import combinations
 
-from oddbook.graph import Graph, bits, mask_of
+from oddbook.bipartite import Biclique, BicliqueSearch
+from oddbook.graph import Graph, GraphFormatError, bits, mask_of
 from oddbook.pattern import build_odd_book
 
 
@@ -197,3 +198,227 @@ def find_pages_ref(adj, orders, h1, h2, count, length, banned):
         if rest is not None:
             return [interior] + rest
     return None
+
+
+def find_book_using_edge_ref(g: Graph, x: int, y: int, s: int, k: int):
+    """(mapping, anchor) of the first copy in G+xy that uses the pair, in the
+    order of the three anchored searches, built on the unpruned kernel."""
+    adj, orders = g.adj, neighbor_orders_ref(g)
+    deg = [row.bit_count() for row in adj]
+    if deg[x] >= s and deg[y] >= s:
+        pages = find_pages_ref(adj, orders, x, y, s, 2 * k, 0)
+        if pages is not None:
+            return (x, y) + sum(pages, ()), "hub-hub"
+    for hub, end in ((x, y), (y, x)):
+        if deg[hub] < s or deg[end] < 1:
+            continue
+        for other in orders[hub]:
+            if other == end or deg[other] < s + 1:
+                continue
+            for tail in iter_paths_ref(adj, orders, end, other, 2 * k - 1, 1 << hub):
+                first = (end,) + tail
+                rest = find_pages_ref(adj, orders, hub, other, s - 1, 2 * k, mask_of(first))
+                if rest is not None:
+                    return (hub, other) + first + sum(rest, ()), "hub-page"
+    pair = 1 << x | 1 << y
+    for r in range(1, 2 * k - 1):
+        for u in range(g.n):
+            if pair >> u & 1 or deg[u] < s + 1:
+                continue
+            for v in orders[u]:
+                if pair >> v & 1 or deg[v] < s + 1:
+                    continue
+                for seg1 in iter_paths_ref(adj, orders, u, x, r, 1 << v | 1 << y):
+                    used = mask_of(seg1) | 1 << u | 1 << x
+                    for seg2 in iter_paths_ref(adj, orders, y, v, 2 * k - 1 - r, used):
+                        rest = find_pages_ref(
+                            adj, orders, u, v, s - 1, 2 * k,
+                            mask_of(seg1) | mask_of(seg2) | pair,
+                        )
+                        if rest is not None:
+                            page = seg1 + (x, y) + seg2
+                            return (u, v) + page + sum(rest, ()), "page-interior"
+    return None
+
+
+# The biclique greedy seed and branch and bound as they were before the
+# canonical class order, the bit-plane weights and the greedy bound.  The
+# production search only makes each node cheaper, so it must return the
+# same biclique, node count and upper bound for every budget.
+
+
+def greedy_biclique_ref(g: Graph) -> Biclique:
+    best = Biclique(0, 0)
+    starts = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for v0 in starts:
+        left = 1 << v0
+        right = 0
+        cand_l = ~g.adj[v0] & g.vertex_mask & ~left
+        cand_r = g.adj[v0]
+        while cand_l | cand_r:
+            pick = None
+            for u in bits(cand_l | cand_r):
+                score = -1
+                side = None
+                if cand_r >> u & 1:
+                    nl = cand_l & g.adj[u] & ~(1 << u)
+                    nr = cand_r & ~g.adj[u] & ~(1 << u)
+                    score = (nl | nr).bit_count()
+                    side = "r"
+                if cand_l >> u & 1:
+                    nl = cand_l & ~g.adj[u] & ~(1 << u)
+                    nr = cand_r & g.adj[u] & ~(1 << u)
+                    sc = (nl | nr).bit_count()
+                    if sc > score:
+                        score = sc
+                        side = "l"
+                if pick is None or score > pick[0]:
+                    pick = (score, u, side)
+            _, u, side = pick
+            if side == "l":
+                left |= 1 << u
+                cand_l &= ~g.adj[u]
+                cand_r &= g.adj[u]
+            else:
+                right |= 1 << u
+                cand_l &= g.adj[u]
+                cand_r &= ~g.adj[u]
+            cand_l &= ~(1 << u)
+            cand_r &= ~(1 << u)
+        if left.bit_count() + right.bit_count() > best.size:
+            best = Biclique(left, right)
+    return best
+
+
+def max_induced_complete_bipartite_ref(g: Graph, budget: int = 10 ** 7) -> BicliqueSearch:
+    if g.n == 0:
+        return BicliqueSearch(Biclique(0, 0), True, 0, 0, budget)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(g.adj[v], []).append(v)
+    classes = list(groups.values())
+    m = len(classes)
+    weight = [len(c) for c in classes]
+    cmask = [mask_of(c) for c in classes]
+    reps = [c[0] for c in classes]
+    qadj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if g.adj[reps[i]] >> reps[j] & 1:
+                qadj[i] |= 1 << j
+                qadj[j] |= 1 << i
+
+    def wsum(mask: int) -> int:
+        return sum(weight[i] for i in bits(mask))
+
+    def expand(class_mask: int) -> int:
+        return mask_of(v for i in bits(class_mask) for v in bits(cmask[i]))
+
+    best = greedy_biclique_ref(g)
+    best_size = best.size
+    nodes = 0
+    aborted = False
+    open_bound = 0
+    full = (1 << m) - 1
+    stack = [(0, 0, full, full)]
+    while stack:
+        if nodes >= budget:
+            aborted = True
+            for left, right, cl, cr in stack:
+                open_bound = max(open_bound, wsum(left) + wsum(right) + wsum(cl | cr))
+            break
+        nodes += 1
+        left, right, cl, cr = stack.pop()
+        cu = cl | cr
+        size = wsum(left) + wsum(right)
+        if size + wsum(cu) <= best_size:
+            continue
+        if not cu:
+            if size > best_size:
+                best = Biclique(expand(left), expand(right))
+                best_size = size
+            continue
+        v = max(bits(cu), key=lambda i: (weight[i], -i))
+        vbit = 1 << v
+        stack.append((left, right, cl & ~vbit, cr & ~vbit))
+        if cr >> v & 1 and (left or right):
+            stack.append((left, right | vbit, cl & qadj[v], cr & ~qadj[v] & ~vbit))
+        if cl >> v & 1:
+            stack.append((left | vbit, right, cl & ~qadj[v] & ~vbit, cr & qadj[v]))
+    upper = best_size if not aborted else max(best_size, open_bound)
+    return BicliqueSearch(best, not aborted, nodes, upper, budget)
+
+
+# The graph6 decoder as it was before it walked the bit vector in order:
+# it placed each set bit by a binary search for its column.
+
+
+def decode_graph6_ref(text: str | bytes) -> Graph:
+    if isinstance(text, str):
+        data = text.strip().encode("ascii")
+    else:
+        data = bytes(text).strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if not data:
+        raise GraphFormatError("empty graph6 input", 0)
+    pos = 0
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            if len(data) < 8:
+                raise GraphFormatError("truncated graph6 size header", len(data))
+            vals = [data[i] - 63 for i in range(2, 8)]
+            pos = 8
+        else:
+            if len(data) < 4:
+                raise GraphFormatError("truncated graph6 size header", len(data))
+            vals = [data[i] - 63 for i in range(1, 4)]
+            pos = 4
+        if any(v < 0 or v > 63 for v in vals):
+            raise GraphFormatError("invalid byte in graph6 size header", pos - 1)
+        n = 0
+        for v in vals:
+            n = n << 6 | v
+    else:
+        n = data[0] - 63
+        if n < 0 or n > 62:
+            raise GraphFormatError("invalid graph6 size byte", 0)
+        pos = 1
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise GraphFormatError(
+            f"truncated graph6 bit vector: need {nbytes} bytes, have {len(data) - pos}",
+            len(data),
+        )
+    if len(data) - pos > nbytes:
+        raise GraphFormatError("trailing bytes after graph6 bit vector", pos + nbytes)
+    g = Graph(n)
+    bit = 0
+    for i in range(nbytes):
+        c = data[pos + i] - 63
+        if c < 0 or c > 63:
+            raise GraphFormatError("invalid byte in graph6 bit vector", pos + i)
+        for shift in range(5, -1, -1):
+            if bit >= nbits:
+                if c >> shift & 1:
+                    raise GraphFormatError("nonzero padding in graph6 bit vector", pos + i)
+                continue
+            if c >> shift & 1:
+                col = _g6_column_ref(bit, n)
+                row = bit - col * (col - 1) // 2
+                g.add_edge(row, col)
+            bit += 1
+    return g
+
+
+def _g6_column_ref(bit_index: int, n: int) -> int:
+    # column c covers bit positions [c(c-1)/2, c(c+1)/2)
+    lo, hi = 1, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * (mid + 1) // 2 > bit_index:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddbook.bipartite import (
     Biclique,
@@ -25,7 +27,12 @@ from oddbook.graph import (
     random_graph,
     two_coloring,
 )
-from .oracles import longest_path_brute, max_biclique_brute
+from .oracles import (
+    greedy_biclique_ref,
+    longest_path_brute,
+    max_biclique_brute,
+    max_induced_complete_bipartite_ref,
+)
 
 
 def _check_path(g, path, length=None):
@@ -76,6 +83,58 @@ def test_greedy_seed_is_valid(rng):
         g = random_graph(12, rng.random(), rng)
         b = greedy_biclique(g)
         assert validate_biclique(g, b)
+
+
+def _twin_rich_graph(rng):
+    """Complete bipartite graph on blown-up classes plus a few flipped
+    pairs: many false-twin classes of unequal weight."""
+    sizes = [rng.randrange(1, 12) for _ in range(rng.randrange(2, 5))]
+    n = sum(sizes) + rng.randrange(0, 3)
+    side = []
+    for i, size in enumerate(sizes):
+        side += [i % 2] * size
+    side += [rng.randrange(2) for _ in range(n - len(side))]
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if side[u] != side[v]:
+                g.add_edge(u, v)
+    for _ in range(rng.randrange(0, 4)):
+        u, v = rng.sample(range(n), 2)
+        if g.has_edge(u, v):
+            g.delete_edge(u, v)
+        else:
+            g.add_edge(u, v)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_biclique_search_matches_reference(seed, twin_rich):
+    """Same biclique, node count, bound and optimality as the reference
+    search for every budget, on G(n, p) and on graphs whose twin classes
+    have weights spread over several bit planes."""
+    rng = random.Random(seed)
+    if twin_rich:
+        g = _twin_rich_graph(rng)
+    else:
+        g = random_graph(rng.randrange(0, 22), rng.random(), rng)
+    assert greedy_biclique(g) == greedy_biclique_ref(g)
+    for budget in (1, 5, 50, None):
+        kwargs = {} if budget is None else {"budget": budget}
+        ours = max_induced_complete_bipartite(g, **kwargs)
+        ref = max_induced_complete_bipartite_ref(g, **kwargs)
+        assert ours.to_json() == ref.to_json()
+
+
+def test_biclique_search_pinned_on_saturated_member(saturated_64):
+    sat, _ = saturated_64
+    search = max_induced_complete_bipartite(sat)
+    assert search.optimal
+    assert search.nodes == 103
+    assert search.upper_bound == 37
+    assert sorted(bits(search.best.left)) == [*range(16), 34, *range(44, 54)]
+    assert sorted(bits(search.best.right)) == list(range(54, 64))
 
 
 def test_validator_checks_all_conditions():

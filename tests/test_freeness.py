@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddbook.construction import build_min_member, plan_layout
+from oddbook import freeness
 from oddbook.freeness import (
     NotBookFreeError,
     _find_pages,
@@ -30,6 +32,7 @@ from oddbook.pattern import book_order
 from .oracles import (
     contains_book_naive,
     disjoint_page_pair_exists,
+    find_book_using_edge_ref,
     find_pages_ref,
     iter_paths_ref,
     neighbor_orders_ref,
@@ -231,6 +234,54 @@ def test_saturate_random_postcondition(rng):
         assert free
         maximal, _ = is_maximal_book_free(out, 2, 2)
         assert maximal
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_probe_witness_matches_unpruned_search(seed):
+    """Every pair's first witness, anchor included, is the one the three
+    anchored searches find on the unpruned kernel."""
+    rng = random.Random(seed)
+    s, k = rng.choice([(2, 2), (3, 2), (2, 1), (1, 2), (1, 3), (3, 1)])
+    n = rng.randrange(5, 12)
+    g = random_graph(n, rng.uniform(0.2, 0.7), rng)
+    orders = _neighbor_orders(g)
+    for x in range(n):
+        for y in range(x + 1, n):
+            w = find_book_using_edge(g, x, y, s, k, _orders=orders)
+            got = None if w is None else (w.mapping, w.anchor)
+            assert got == find_book_using_edge_ref(g, x, y, s, k)
+
+
+def test_hosts_smaller_than_the_pattern(monkeypatch):
+    """The (2, 3) book has 12 vertices, so on 10-vertex hosts every pair is
+    added and every non-edge fails maximality, as the naive enumerator
+    says; the searches that anchor the pair on a page never run."""
+
+    def never(*args):
+        raise AssertionError("page-anchored search on a host too small for a copy")
+
+    monkeypatch.setattr(freeness, "_find_hub_page_anchored", never)
+    monkeypatch.setattr(freeness, "_find_interior_anchored", never)
+    rng = random.Random(23)
+    for _ in range(4):
+        g = random_graph(10, rng.uniform(0.2, 0.8), rng)
+        non_edges = [
+            (u, v) for u in range(10) for v in range(u + 1, 10) if not g.has_edge(u, v)
+        ]
+        expected = []
+        for u, v in non_edges:
+            h = g.copy()
+            h.add_edge(u, v)
+            if not contains_book_naive(h, 2, 3):
+                expected.append((u, v))
+        assert expected == non_edges
+        start = time.perf_counter()
+        out, added = saturate(g, 2, 3)
+        assert added == expected
+        assert out == complete_graph(10)
+        assert is_maximal_book_free(g, 2, 3) == (not expected, expected)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_size_guard():

@@ -26,6 +26,7 @@ from oddbook.graph import (
     two_coloring,
 )
 from .conftest import petersen
+from .oracles import decode_graph6_ref
 
 
 def test_mutation_keeps_symmetry():
@@ -193,6 +194,44 @@ def test_graph6_nonzero_padding_rejected():
     # K3 body with a padding bit set: 111111 -> chr(63+63)
     with pytest.raises(GraphFormatError):
         decode_graph6("B~")
+
+
+def _decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except GraphFormatError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_graph6_decode_matches_reference(seed):
+    """The in-order decoder returns the graph, or the error message and
+    byte offset, of the binary-search reference, on valid encodings with
+    short and 4-byte (n > 62) headers and on corrupted copies of them."""
+    rng = random.Random(seed)
+    n = rng.choice([rng.randrange(0, 63), rng.randrange(63, 140)])
+    data = bytearray(encode_graph6(random_graph(n, rng.random(), rng)).encode())
+    assert decode_graph6(bytes(data)) == decode_graph6_ref(bytes(data))
+    # an all-ones last byte sets every padding bit
+    corrupted = [bytes(data[:-1]) + b"~"]
+    for _ in range(3):
+        bad = bytearray(data)
+        i = rng.randrange(len(bad))
+        bad[i] = rng.choice([rng.randrange(256), 126, 62, 63 + rng.randrange(64)])
+        if rng.random() < 0.3:
+            del bad[rng.randrange(len(bad)):]
+        corrupted.append(bytes(bad))
+    for bad in corrupted:
+        assert _decode_outcome(decode_graph6, bad) == _decode_outcome(decode_graph6_ref, bad)
+
+
+def test_graph6_huge_header_with_short_body_fails_at_once():
+    # "~~" plus six size bytes of 63 declares n = 2^36 - 1; the length
+    # check must reject the three-byte body before anything is allocated
+    with pytest.raises(GraphFormatError, match="truncated graph6 bit vector") as exc:
+        decode_graph6("~~" + "~" * 6 + "???")
+    assert exc.value.offset == 11
 
 
 def test_encode_cap():
