@@ -8,6 +8,7 @@ Rational parameters (--alpha) are parsed exactly, never through floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -327,7 +328,9 @@ def cmd_max_bipartite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oddbook",
         description="Odd-book-free graph construction, verification, and "

@@ -3,10 +3,11 @@
 A copy of the (s, k) odd book decomposes as a hub edge plus s internally
 disjoint hub-to-hub paths of length 2k, so detection anchored at a host
 edge reduces to a disjoint-paths search.  Probing a non-edge xy for
-maximality is anchored at each of the three pattern edge orbits in turn:
-xy as the hub edge, xy as a hub-to-page edge, and xy as an interior page
-edge.  All searches are exhaustive and deterministic (neighbors visited in
-ascending-degree order, ties by id).
+maximality runs two searches in turn: xy as the hub edge, then xy as the
+edge at offset r (0 <= r <= 2k-1) of a hub-to-hub page of 2k edges.  The
+witness names the pattern edge orbit: hub-hub, hub-page (r = 0 or 2k-1)
+or page-interior.  All searches are exhaustive and deterministic
+(neighbors visited in ascending-degree order, ties by id).
 
 The path kernel prunes with two necessary conditions, walk masks in
 `_iter_paths` and a layered cut bound in `_find_pages`; each cuts only
@@ -17,9 +18,9 @@ as those of the unpruned search.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, mask_of, neighborhood
 from .pattern import book_order, build_odd_book
 
 DEFAULT_SIZE_LIMIT = 512
@@ -157,7 +158,7 @@ class _Orders(dict):
         if masks is None:
             masks = self._walks[goal] = [1 << goal]
         while len(masks) <= depth:
-            masks.append(_neighborhood(self.adj, masks[-1]))
+            masks.append(neighborhood(self.adj, masks[-1]))
         return masks
 
     def edge_added(self, u: int, v: int) -> None:
@@ -175,14 +176,6 @@ class _Orders(dict):
 
 def _neighbor_orders(g: Graph) -> _Orders:
     return _Orders(g)
-
-
-def _neighborhood(adj, mask):
-    """Mask of the vertices adjacent to some vertex of `mask`."""
-    reach = 0
-    for v in bits(mask):
-        reach |= adj[v]
-    return reach
 
 
 def _iter_paths(orders, start, goal, length, banned):
@@ -258,14 +251,14 @@ def _layers_admit(adj, h1, h2, count, length, banned):
     allowed = ~(banned | 1 << h1 | 1 << h2)
     fwd = [1 << h1]
     for _ in range(length - 1):
-        reach = _neighborhood(adj, fwd[-1]) & allowed
+        reach = neighborhood(adj, fwd[-1]) & allowed
         if reach.bit_count() < count:
             return False
         fwd.append(reach)
     layer = 1 << h2
     union = 0
     for i in range(length - 1, 0, -1):
-        layer = _neighborhood(adj, layer) & fwd[i]
+        layer = neighborhood(adj, layer) & fwd[i]
         if layer.bit_count() < count:
             return False
         union |= layer
@@ -325,69 +318,49 @@ def find_book_at_edge(
     return _witness(s, k, x, y, pages, ANCHOR_HUB, (x, y))
 
 
-def _find_hub_page_anchored(orders, hub, end, s, k):
-    """Copies where `hub` is a hub and `end` is the page interior adjacent to
-    it, with the probe pair (hub, end) as the connecting edge.
+def _find_page_anchored(orders, x, y, s, k):
+    """Copies where the probe pair is a page edge: one end `a` at offset r
+    from the near hub u, the other end `b` at 2k-1-r from the far hub v.
+    Placements are tried in the order (x, y, 0), (y, x, 0), then (x, y, r)
+    for r = 1..2k-2; the last sweep, with x on the near side, covers both
+    traversal directions of an interior edge.
 
-    The rest of that page is an end-other path of 2k-1 edges, and every path
-    is a walk, so the other hub must lie in W_{2k-1}(end).
+    At r = 0 the near hub is `a` itself, and the probe edge counts toward
+    its degree.  Otherwise the u-a segment is a walk of r edges, so u lies
+    in W_r(a); the b-v segment is a walk of 2k-1-r edges, so v lies in
+    W_{2k-1-r}(b).
     """
-    deg = orders.deg
-    if deg[hub] < s or deg[end] < 1:
-        return None
-    reach = orders.walks(end, 2 * k - 1)[2 * k - 1]
-    for other in orders[hub]:
-        if other == end or deg[other] < s + 1 or not reach >> other & 1:
-            continue
-        for tail in _iter_paths(orders, end, other, 2 * k - 1, 1 << hub):
-            first_page = (end,) + tail
-            rest = _find_pages(
-                orders, hub, other, s - 1, 2 * k, mask_of(first_page)
-            )
-            if rest is not None:
-                return _witness(s, k, hub, other, [first_page] + rest,
-                                ANCHOR_HUB_PAGE, (hub, end))
-    return None
-
-
-def _find_interior_anchored(orders, x, y, s, k):
-    """Copies where (x, y) is an interior page edge, x at distance r from one
-    hub and y at distance 2k-1-r from the other.  Sweeping r over 1..2k-2
-    with x on the near side covers both traversal directions.
-
-    The near hub u starts a u-x path of r edges and the far hub v ends a
-    y-v path of 2k-1-r edges, so u must lie in W_r(x) and v in
-    W_{2k-1-r}(y); both masks are walk masks, which bound distance and
-    parity at once.
-    """
-    if k < 2:
-        return None
     deg = orders.deg
     pair_mask = 1 << x | 1 << y
-    walks_x = orders.walks(x, 2 * k - 2)
-    walks_y = orders.walks(y, 2 * k - 2)
-    for r in range(1, 2 * k - 1):
+    for i in range(2 * k):
+        a, b = (y, x) if i == 1 else (x, y)
+        r = i - 1 if i else 0
+        if r:
+            near, need = bits(orders.walks(a, r)[r] & ~pair_mask), s + 1
+        elif deg[a] >= s and deg[b] >= 1:
+            near, need = (a,), s
+        else:
+            continue
         tail_len = 2 * k - 1 - r
-        far = walks_y[tail_len] & ~pair_mask
-        for u in bits(walks_x[r] & ~pair_mask):
-            if deg[u] < s + 1:
+        far = orders.walks(b, tail_len)[tail_len] & ~pair_mask
+        for u in near:
+            if deg[u] < need:
                 continue
             for v in orders[u]:
                 if not far >> v & 1 or deg[v] < s + 1:
                     continue
-                for seg1 in _iter_paths(orders, u, x, r, 1 << v | 1 << y):
-                    seg1_mask = mask_of(seg1)
-                    for seg2 in _iter_paths(
-                        orders, y, v, tail_len, seg1_mask | 1 << u | 1 << x
-                    ):
-                        page = seg1 + (x, y) + seg2
+                firsts = _iter_paths(orders, u, a, r, 1 << v | 1 << b) if r else ((),)
+                for seg1 in firsts:
+                    used = mask_of(seg1) | 1 << u | 1 << a
+                    for seg2 in _iter_paths(orders, b, v, tail_len, used):
                         rest = _find_pages(
                             orders, u, v, s - 1, 2 * k,
-                            seg1_mask | mask_of(seg2) | pair_mask,
+                            used | 1 << b | mask_of(seg2),
                         )
                         if rest is not None:
-                            return _witness(s, k, u, v, [page] + rest,
-                                            ANCHOR_INTERIOR, (x, y))
+                            page = (seg1 + (a,) if r else ()) + (b,) + seg2
+                            anchor = ANCHOR_INTERIOR if r else ANCHOR_HUB_PAGE
+                            return _witness(s, k, u, v, [page] + rest, anchor, (x, y))
     return None
 
 
@@ -398,32 +371,17 @@ def find_book_using_edge(
     position; None only when no such copy exists (exhaustive).
 
     A copy needs book_order(s, k) distinct vertices, so on a smaller host
-    the hub-page and page-interior searches are skipped.
+    the page-edge search is skipped.
     """
     orders = _orders if _orders is not None else _neighbor_orders(g)
     w = find_book_at_edge(g, x, y, s, k, _orders=orders)
     if w is not None or g.n < book_order(s, k):
         return w
-    w = _find_hub_page_anchored(orders, x, y, s, k)
-    if w is None:
-        w = _find_hub_page_anchored(orders, y, x, s, k)
-        if w is not None:
-            w = replace(w, probe=(x, y))
-    if w is not None:
-        return w
-    return _find_interior_anchored(orders, x, y, s, k)
+    return _find_page_anchored(orders, x, y, s, k)
 
 
 # ---------------------------------------------------------------------------
 # whole-graph checks
-
-
-def _check_size(g: Graph, size_limit: int | None):
-    if size_limit is not None and g.n > size_limit:
-        raise ValueError(
-            f"exhaustive search refused for n={g.n} > {size_limit}; "
-            "pass size_limit=None to override"
-        )
 
 
 def is_book_free(
@@ -431,7 +389,11 @@ def is_book_free(
 ) -> tuple[bool, Witness | None]:
     """True iff the graph has no (s, k) odd-book subgraph; on False the
     witness is the first copy in edge-lexicographic search order."""
-    _check_size(g, size_limit)
+    if size_limit is not None and g.n > size_limit:
+        raise ValueError(
+            f"exhaustive search refused for n={g.n} > {size_limit}; "
+            "pass size_limit=None to override"
+        )
     orders = _neighbor_orders(g)
     for u, v in g.edges():
         w = find_book_at_edge(g, u, v, s, k, _orders=orders)
@@ -460,7 +422,6 @@ def is_maximal_book_free(
     """Every non-edge must create a copy when added; failing non-edges are
     returned in lexicographic order.  Raises NotBookFreeError if the input
     already contains the pattern."""
-    _check_size(g, size_limit)
     free, witness = is_book_free(g, s, k, size_limit=size_limit)
     if not free:
         raise NotBookFreeError(witness)
@@ -480,12 +441,7 @@ def is_maximal_book_free(
                 failing.extend(part)
         failing.sort()
     else:
-        orders = _neighbor_orders(g)
-        failing = [
-            (x, y)
-            for x, y in non_edges
-            if find_book_using_edge(g, x, y, s, k, _orders=orders) is None
-        ]
+        failing = _probe_chunk((g, s, k, non_edges))
     return not failing, failing
 
 
@@ -498,7 +454,6 @@ def saturate(
     copy created by a rejected pair persists in every later supergraph, so
     a single pass already reaches the fixpoint.
     """
-    _check_size(g, size_limit)
     free, witness = is_book_free(g, s, k, size_limit=size_limit)
     if not free:
         raise NotBookFreeError(witness)

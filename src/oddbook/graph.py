@@ -182,31 +182,45 @@ def is_independent(g: Graph, vertices: int | Iterable[int]) -> bool:
     return all(not (g.adj[u] & mask) for u in bits(mask))
 
 
+def neighborhood(adj: list[int], mask: int) -> int:
+    """Mask of the vertices adjacent to some vertex of `mask`."""
+    reach = 0
+    for v in bits(mask):
+        reach |= adj[v]
+    return reach
+
+
+def bfs_layers(g: Graph, root: int, within: int | None = None) -> Iterator[int]:
+    """BFS frontier masks inside `within`: {root}, then the vertices at
+    distance 1, 2, ... from root.  Nothing when root is outside `within`."""
+    scope = g.vertex_mask if within is None else within
+    frontier = 1 << root & scope
+    seen = frontier
+    while frontier:
+        yield frontier
+        frontier = neighborhood(g.adj, frontier) & scope & ~seen
+        seen |= frontier
+
+
 def two_coloring(g: Graph, within: int | None = None) -> tuple[int, int] | None:
     """Deterministic BFS 2-coloring; None when an odd cycle exists.
 
-    Restricted to the `within` mask when given.  Component roots (smallest
-    unvisited id) land on side 0, so isolated vertices all end up on side 0.
+    Restricted to the `within` mask when given.  Each component's even BFS
+    layers from its smallest vertex form side 0 and its odd layers side 1,
+    so isolated vertices all end up on side 0.  An edge joins layers at
+    most one apart, so the coloring is proper exactly when each side is
+    independent.
     """
     scope = g.vertex_mask if within is None else within
-    side = [-1] * g.n
+    sides = [0, 0]
     for root in bits(scope):
-        if side[root] != -1:
+        if (sides[0] | sides[1]) >> root & 1:
             continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in bits(g.adj[u] & scope):
-                    if side[v] == -1:
-                        side[v] = side[u] ^ 1
-                        nxt.append(v)
-                    elif side[v] == side[u]:
-                        return None
-            queue = nxt
-    mask0 = mask_of(v for v in bits(scope) if side[v] == 0)
-    return mask0, scope & ~mask0
+        for d, layer in enumerate(bfs_layers(g, root, scope)):
+            sides[d & 1] |= layer
+    if not (is_independent(g, sides[0]) and is_independent(g, sides[1])):
+        return None
+    return sides[0], sides[1]
 
 
 def find_odd_cycle(g: Graph, within: int | None = None) -> list[int] | None:
@@ -247,24 +261,9 @@ def find_odd_cycle(g: Graph, within: int | None = None) -> list[int] | None:
 
 def bfs_distances(g: Graph, source: int, allowed: int | None = None) -> list[int]:
     """BFS distances from source; unreachable vertices get n (an upper bound+1)."""
-    inf = g.n if g.n else 1
-    dist = [inf] * g.n
-    if allowed is None:
-        allowed = g.vertex_mask
-    if not allowed >> source & 1:
-        return dist
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        reach = 0
-        for u in bits(frontier):
-            reach |= g.adj[u]
-        frontier = reach & allowed & ~seen
-        seen |= frontier
-        d += 1
-        for u in bits(frontier):
+    dist = [g.n or 1] * g.n
+    for d, layer in enumerate(bfs_layers(g, source, allowed)):
+        for u in bits(layer):
             dist[u] = d
     return dist
 
@@ -275,14 +274,9 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     comps = []
     while remaining:
         root = (remaining & -remaining).bit_length() - 1
-        comp = 1 << root
-        frontier = comp
-        while frontier:
-            reach = 0
-            for u in bits(frontier):
-                reach |= g.adj[u]
-            frontier = reach & remaining & ~comp
-            comp |= frontier
+        comp = 0
+        for layer in bfs_layers(g, root, remaining):
+            comp |= layer
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -464,6 +458,8 @@ def decode_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"bad edge-list header: {exc}") from None
+    if n < 0:
+        raise GraphFormatError(f"negative vertex count in edge-list header: {n}")
     if len(lines) - 1 != m:
         raise GraphFormatError(
             f"edge-list declares {m} edges but has {len(lines) - 1} edge lines"
@@ -473,7 +469,14 @@ def decode_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer vertex in edge line: {ln!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"vertex out of range 0..{n - 1}: {ln!r}")
+        if u == v:
+            raise GraphFormatError(f"self-loop: {ln!r}")
         if g.has_edge(u, v):
             raise GraphFormatError(f"duplicate edge: {ln!r}")
         g.add_edge(u, v)

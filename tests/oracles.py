@@ -422,3 +422,71 @@ def _g6_column_ref(bit_index: int, n: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+# The BFS helpers as they were before they shared one frontier generator:
+# a per-vertex queue for the coloring and hand-rolled frontier loops for the
+# distances and the components.
+
+
+def two_coloring_ref(g: Graph, within: int | None = None) -> tuple[int, int] | None:
+    scope = g.vertex_mask if within is None else within
+    side = [-1] * g.n
+    for root in bits(scope):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in bits(g.adj[u] & scope):
+                    if side[v] == -1:
+                        side[v] = side[u] ^ 1
+                        nxt.append(v)
+                    elif side[v] == side[u]:
+                        return None
+            queue = nxt
+    mask0 = mask_of(v for v in bits(scope) if side[v] == 0)
+    return mask0, scope & ~mask0
+
+
+def bfs_distances_ref(g: Graph, source: int, allowed: int | None = None) -> list[int]:
+    inf = g.n if g.n else 1
+    dist = [inf] * g.n
+    if allowed is None:
+        allowed = g.vertex_mask
+    if not allowed >> source & 1:
+        return dist
+    dist[source] = 0
+    frontier = 1 << source
+    seen = frontier
+    d = 0
+    while frontier:
+        reach = 0
+        for u in bits(frontier):
+            reach |= g.adj[u]
+        frontier = reach & allowed & ~seen
+        seen |= frontier
+        d += 1
+        for u in bits(frontier):
+            dist[u] = d
+    return dist
+
+
+def connected_components_ref(g: Graph, within: int | None = None) -> list[int]:
+    remaining = g.vertex_mask if within is None else within
+    comps = []
+    while remaining:
+        root = (remaining & -remaining).bit_length() - 1
+        comp = 1 << root
+        frontier = comp
+        while frontier:
+            reach = 0
+            for u in bits(frontier):
+                reach |= g.adj[u]
+            frontier = reach & remaining & ~comp
+            comp |= frontier
+        comps.append(comp)
+        remaining &= ~comp
+    return comps

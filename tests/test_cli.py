@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oddbook.cli import main
+from oddbook.cli import build_parser, main
 from oddbook.graph import Graph, complete_bipartite, cycle_graph, decode_graph6, encode_graph6
 
 
@@ -117,6 +117,18 @@ def test_verify_maximality_failure_lists_non_edges(tmp_path):
     check = report["checks"][0]
     assert not check["pass"]
     assert check["details"]["failing_non_edges"]
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path):
+    assert build_parser() is build_parser()
+    g6 = _write_g6(tmp_path / "c5.g6", cycle_graph(5))
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    assert main(["verify", "-i", g6, "--check", "freeness", "--check", "biclique",
+                 "-o", str(first)]) == 0
+    assert main(["verify", "-i", g6, "--check", "biclique", "-o", str(second)]) == 0
+    names = [c["name"] for c in json.loads(second.read_text())["checks"]]
+    assert len(names) == 1
 
 
 def test_verify_unknown_check_rejected(tmp_path):

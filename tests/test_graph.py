@@ -2,15 +2,17 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddbook.graph import (
     Graph,
     GraphFormatError,
+    bfs_distances,
     bits,
     complete_bipartite,
     complete_graph,
+    connected_components,
     count_edges_between,
     cycle_graph,
     decode_edge_list,
@@ -26,7 +28,12 @@ from oddbook.graph import (
     two_coloring,
 )
 from .conftest import petersen
-from .oracles import decode_graph6_ref
+from .oracles import (
+    bfs_distances_ref,
+    connected_components_ref,
+    decode_graph6_ref,
+    two_coloring_ref,
+)
 
 
 def test_mutation_keeps_symmetry():
@@ -259,6 +266,24 @@ def test_edge_list_duplicate_edge():
         decode_edge_list("3 2\n0 1\n1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-1 0\n", "negative vertex count"),
+        ("3 1\n0 x\n", "non-integer vertex"),
+        ("3 1\n5 0\n", "vertex out of range"),
+        ("3 1\n3 0\n", "vertex out of range"),
+        ("3 1\n0 3\n", "vertex out of range"),
+        ("3 1\n-1 0\n", "vertex out of range"),
+        ("3 1\n2 2\n", "self-loop"),
+        ("3 2\n0 2\n2 0\n", "duplicate edge"),
+    ],
+)
+def test_edge_list_hostile_lines(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        decode_edge_list(text)
+
+
 # ---------------------------------------------------------------------------
 # misc helpers
 
@@ -270,6 +295,27 @@ def test_two_coloring_restricted():
     sides = two_coloring(g, within=within)
     assert sides is not None
     assert sides[0] | sides[1] == within
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 15))
+@example(0, 0)
+def test_bfs_helpers_match_reference(seed, n):
+    """Coloring, distances and components equal those of the hand-rolled
+    loops they replaced, on the whole graph and inside random masks."""
+    rng = random.Random(seed)
+    g = random_graph(n, rng.choice([0.1, 0.25, 0.5]), rng)
+    if rng.random() < 0.3:
+        # a bipartite host, so the coloring is not always None
+        left = rng.getrandbits(n) if n else 0
+        for u, v in list(g.edges()):
+            if (left >> u ^ left >> v) & 1 == 0:
+                g.delete_edge(u, v)
+    for within in (None, rng.getrandbits(n) if n else 0):
+        assert two_coloring(g, within) == two_coloring_ref(g, within)
+        assert connected_components(g, within) == connected_components_ref(g, within)
+        for source in range(n):
+            assert bfs_distances(g, source, within) == bfs_distances_ref(g, source, within)
 
 
 def test_bits_and_mask_roundtrip():
