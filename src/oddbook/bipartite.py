@@ -12,12 +12,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .freeness import _iter_paths, _Orders
 from .graph import (
     Graph,
-    bfs_distances,
     bits,
     connected_components,
     find_odd_cycle,
+    first_edge_within,
     induced_subgraph,
     is_independent,
     mask_of,
@@ -275,13 +276,16 @@ class PartitionTrace:
         }
 
 
-def max_cut_bipartition(g: Graph, seed: int = 0, restarts: int = 4) -> tuple[int, int]:
+_MAX_CUT_STARTS = 4
+
+
+def max_cut_bipartition(g: Graph, seed: int = 0) -> tuple[int, int]:
     """Seeded local-search max cut: single-vertex flips to a local optimum,
-    best of `restarts` starts.  Deterministic for a fixed seed."""
+    best of _MAX_CUT_STARTS starts.  Deterministic for a fixed seed."""
     rng = random.Random(seed)
     best_sides = None
     best_cut = -1
-    for _ in range(max(1, restarts)):
+    for _ in range(_MAX_CUT_STARTS):
         side = [rng.randrange(2) for _ in range(g.n)]
         masks = [0, 0]
         for v, sd in enumerate(side):
@@ -328,7 +332,6 @@ def build_uvt_partition(
     h: int,
     seed: int = 0,
     initial: tuple[int, int, int] | None = None,
-    restarts: int = 4,
 ) -> tuple[CorePartition, PartitionTrace]:
     """Partition into two sides plus an exceptional set such that every
     exceptional vertex has, toward each side, either no neighbor or more
@@ -369,7 +372,7 @@ def build_uvt_partition(
                 left, right = two_coloring(g, within=g.vertex_mask & ~transversal)
                 method = "transversal"
             else:
-                side0, side1 = max_cut_bipartition(g, seed=seed, restarts=restarts)
+                side0, side1 = max_cut_bipartition(g, seed=seed)
                 for v in range(g.n):
                     own = side0 if side0 >> v & 1 else side1
                     if (g.adj[v] & own).bit_count() >= h + 1:
@@ -419,6 +422,16 @@ def build_uvt_partition(
 # parity-constrained and long paths
 
 
+class _IdOrders(_Orders):
+    """Path search state whose rows list neighbors in ascending id order."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        row = self[v] = tuple(bits(self.adj[v]))
+        return row
+
+
 def find_parity_path(
     g: Graph,
     u: int,
@@ -432,15 +445,14 @@ def find_parity_path(
 
     The requested length must match the parity forced by the endpoints'
     sides (odd across sides, even within a side); mismatches are rejected.
-    Exhaustive DFS with distance-based pruning.
+    Exhaustive search on the odd-book path kernel, neighbors in ascending
+    id order, so the path returned is the lexicographically first one.
     """
     side0, side1 = sides
     if side0 & side1 or (side0 | side1) != g.vertex_mask:
         raise ValueError("sides must partition the vertex set")
-    for mask in sides:
-        for x in bits(mask):
-            if g.adj[x] & mask:
-                raise ValueError("graph is not bipartite for the given sides")
+    if any(first_edge_within(g, side) for side in sides):
+        raise ValueError("graph is not bipartite for the given sides")
     if u == v:
         raise ValueError("endpoints must differ")
     if length < 2:
@@ -451,32 +463,10 @@ def find_parity_path(
         raise ValueError(
             f"parity mismatch: endpoints force an {want} length, got {length}"
         )
-    endpoints = 1 << u | 1 << v
     # the endpoints themselves may be listed in `avoid`
-    avoid_interior = avoid & ~endpoints
-    dist = bfs_distances(g, v, allowed=g.vertex_mask & ~avoid_interior)
-
-    path = [u]
-
-    def extend(x: int, rem: int, used: int) -> bool:
-        if rem == 1:
-            if g.adj[x] >> v & 1:
-                path.append(v)
-                return True
-            return False
-        cand = g.adj[x] & ~used & ~avoid_interior
-        for w in bits(cand):
-            if dist[w] > rem - 1:
-                continue
-            path.append(w)
-            if extend(w, rem - 1, used | 1 << w):
-                return True
-            path.pop()
-        return False
-
-    if extend(u, length, endpoints):
-        return path
-    return None
+    banned = avoid & ~(1 << u | 1 << v)
+    interior = next(_iter_paths(_IdOrders(g), u, v, length, banned), None)
+    return None if interior is None else [u, *interior, v]
 
 
 @dataclass

@@ -12,11 +12,11 @@ the (s, k) odd book.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .graph import Graph, bits, is_independent, mask_of, two_coloring
+from .graph import Graph, bits, first_edge_within, mask_of, two_coloring
 
 
 class LayoutInfeasibleError(ValueError):
@@ -118,26 +118,24 @@ class BlockLayout:
 
     # -- vertex id geometry ------------------------------------------------
 
-    def left_block(self, i: int) -> range:
+    def _block(self, i: int, side: int) -> range:
+        """Block i of the left (side 0) or right (side 1) half; i = pairs is
+        that half's tail, placed after the connectors."""
         if i == self.pairs:
             start = 2 * self.pairs * self.block_size + self.connector_count * self.connector_len
-            return range(start, start + self.left_tail_size)
+            if side:
+                start += self.left_tail_size
+            return range(start, start + (self.right_tail_size if side else self.left_tail_size))
         if not 0 <= i < self.pairs:
             raise ValueError(f"block index {i} outside [0, {self.pairs}]")
-        return range(i * self.block_size, (i + 1) * self.block_size)
+        start = (side * self.pairs + i) * self.block_size
+        return range(start, start + self.block_size)
+
+    def left_block(self, i: int) -> range:
+        return self._block(i, 0)
 
     def right_block(self, i: int) -> range:
-        if i == self.pairs:
-            start = (
-                2 * self.pairs * self.block_size
-                + self.connector_count * self.connector_len
-                + self.left_tail_size
-            )
-            return range(start, start + self.right_tail_size)
-        if not 0 <= i < self.pairs:
-            raise ValueError(f"block index {i} outside [0, {self.pairs}]")
-        base = self.pairs * self.block_size
-        return range(base + i * self.block_size, base + (i + 1) * self.block_size)
+        return self._block(i, 1)
 
     def connector(self, p: int, q: int) -> range:
         if not (0 <= p < self.s and 0 <= q < self.base):
@@ -145,50 +143,42 @@ class BlockLayout:
         start = 2 * self.pairs * self.block_size + (p * self.base + q) * self.connector_len
         return range(start, start + self.connector_len)
 
+    def connectors(self) -> Iterator[tuple[int, int, range]]:
+        """(p, q, vertices) of every connector, p-major as the ids run."""
+        for p in range(self.s):
+            for q in range(self.base):
+                yield p, q, self.connector(p, q)
+
     def connector_vertex(self, p: int, q: int, r: int) -> int:
         """r-th vertex on connector (p, q), 1-based along the path."""
         if not 1 <= r <= self.connector_len:
             raise ValueError(f"connector position {r} outside [1, {self.connector_len}]")
         return self.connector(p, q)[r - 1]
 
+    def _half_mask(self, side: int) -> int:
+        return mask_of(v for i in range(self.pairs + 1) for v in self._block(i, side))
+
     def left_mask(self) -> int:
-        m = 0
-        for i in range(self.pairs + 1):
-            m |= mask_of(self.left_block(i))
-        return m
+        return self._half_mask(0)
 
     def right_mask(self) -> int:
-        m = 0
-        for i in range(self.pairs + 1):
-            m |= mask_of(self.right_block(i))
-        return m
+        return self._half_mask(1)
 
     def connector_mask(self) -> int:
-        m = 0
-        for p in range(self.s):
-            for q in range(self.base):
-                m |= mask_of(self.connector(p, q))
-        return m
+        return mask_of(v for _, _, chain in self.connectors() for v in chain)
 
     def middle_mask(self) -> int:
         """Middle vertices (position k) of all connectors."""
-        return mask_of(
-            self.connector_vertex(p, q, self.k)
-            for p in range(self.s)
-            for q in range(self.base)
-        )
+        return mask_of(chain[self.k - 1] for _, _, chain in self.connectors())
 
     def label_of(self, v: int) -> tuple:
         for i in range(self.pairs + 1):
-            if v in self.left_block(i):
-                return ("left", i)
-            if v in self.right_block(i):
-                return ("right", i)
-        for p in range(self.s):
-            for q in range(self.base):
-                rng = self.connector(p, q)
-                if v in rng:
-                    return ("connector", p, q, v - rng.start + 1)
+            for side, name in enumerate(("left", "right")):
+                if v in self._block(i, side):
+                    return (name, i)
+        for p, q, chain in self.connectors():
+            if v in chain:
+                return ("connector", p, q, v - chain.start + 1)
         raise ValueError(f"vertex {v} outside layout")
 
     def attached_pairs(self, p: int, q: int) -> list[int]:
@@ -219,20 +209,23 @@ class BlockLayout:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BlockLayout":
-        layout = cls(
-            n=doc["n"],
-            s=doc["s"],
-            k=doc["k"],
-            alpha=Fraction(doc["alpha"]),
-            base=doc["base"],
-            block_size=doc["block_size"],
-        )
-        if layout.to_json()["left_blocks"] != doc["left_blocks"]:
-            raise ValueError("layout document inconsistent with derived geometry")
+        """Layout from its `to_json` document; ValueError names a key that is
+        missing or malformed."""
+        if not isinstance(doc, dict):
+            raise ValueError("layout document must be a JSON object")
+        for key in ("n", "s", "k", "base", "block_size"):
+            if type(doc.get(key)) is not int:
+                raise ValueError(f"layout key {key!r} missing or not an integer")
+        try:
+            alpha = Fraction(doc["alpha"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("layout key 'alpha' missing or not an exact rational") from None
+        layout = cls(doc["n"], doc["s"], doc["k"], alpha, doc["base"], doc["block_size"])
+        if layout.to_json()["left_blocks"] != doc.get("left_blocks"):
+            raise ValueError(
+                "layout key 'left_blocks' missing or inconsistent with derived geometry"
+            )
         return layout
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def plan_layout(n: int, s: int, k: int, alpha: Fraction | str) -> BlockLayout:
@@ -279,48 +272,30 @@ def build_min_member(layout: BlockLayout) -> ConstructionResult:
     """Graph with exactly the mandated edges: complete off-diagonal block
     pairs, complete tail pair, connector paths, and digit-matched
     attachments at connector endpoints."""
-    n = layout.n
-    adj = [0] * n
+    adj = [0] * layout.n
     pairs = layout.pairs
-    left_masks = [mask_of(layout.left_block(i)) for i in range(pairs + 1)]
-    right_masks = [mask_of(layout.right_block(i)) for i in range(pairs + 1)]
-    left_all = 0
-    right_all = 0
-    for m in left_masks:
-        left_all |= m
-    for m in right_masks:
-        right_all |= m
+    blocks = [[mask_of(layout._block(i, side)) for i in range(pairs + 1)] for side in (0, 1)]
+    # the blocks of a half are disjoint, so their sum is the half
+    halves = [sum(row) for row in blocks]
+    for side in (0, 1):
+        across = blocks[1 - side]
+        for i in range(pairs + 1):
+            # an indexed block pair has no edges between its blocks; the tail
+            # pair is complete
+            row = halves[1 - side] & ~across[i] if i < pairs else halves[1 - side]
+            for v in layout._block(i, side):
+                adj[v] |= row
 
-    for i in range(pairs + 1):
-        if i < pairs:
-            row_left = right_all & ~right_masks[i]
-            row_right = left_all & ~left_masks[i]
-        else:
-            row_left = right_all
-            row_right = left_all
-        for v in layout.left_block(i):
-            adj[v] |= row_left
-        for v in layout.right_block(i):
-            adj[v] |= row_right
-
-    for p in range(layout.s):
-        for q in range(layout.base):
-            chain = list(layout.connector(p, q))
-            for a, b in zip(chain, chain[1:]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            attach_left = 0
-            attach_right = 0
-            for i in layout.attached_pairs(p, q):
-                attach_left |= left_masks[i]
-                attach_right |= right_masks[i]
-            first, last = chain[0], chain[-1]
-            adj[first] |= attach_left
-            for v in bits(attach_left):
-                adj[v] |= 1 << first
-            adj[last] |= attach_right
-            for v in bits(attach_right):
-                adj[v] |= 1 << last
+    for p, q, chain in layout.connectors():
+        for a, b in zip(chain, chain[1:]):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        attached = layout.attached_pairs(p, q)
+        for side, end in ((0, chain[0]), (1, chain[-1])):
+            attach = sum(blocks[side][i] for i in attached)
+            adj[end] |= attach
+            for v in bits(attach):
+                adj[v] |= 1 << end
 
     g = Graph.from_adjacency(adj)
     return ConstructionResult(
@@ -360,116 +335,81 @@ class CertificateReport:
         return {"ok": self.ok, "facts": [f.to_json() for f in self.facts]}
 
 
+def _fact(name: str, first_violation: tuple | None) -> CertificateFact:
+    """A fact holds when it has no violation; otherwise the first violation
+    found is its witness."""
+    return CertificateFact(name, first_violation is None, first_violation)
+
+
 def _alternating_connector_sets(layout: BlockLayout) -> tuple[int, int]:
     """Connector positions split around the middle: set 1 holds odd positions
     before the middle and even after; set 2 the mirror image."""
     k = layout.k
-    set1 = 0
-    set2 = 0
-    for p in range(layout.s):
-        for q in range(layout.base):
-            for r in range(1, layout.connector_len + 1):
-                if r == k:
-                    continue
-                v = layout.connector_vertex(p, q, r)
-                before = r < k
-                odd = r % 2 == 1
-                if (before and odd) or (not before and not odd):
-                    set1 |= 1 << v
-                else:
-                    set2 |= 1 << v
-    return set1, set2
+    sets = [0, 0]
+    for _, _, chain in layout.connectors():
+        for r, v in enumerate(chain, 1):
+            if r != k:
+                sets[(r < k) != (r % 2 == 1)] |= 1 << v
+    return sets[0], sets[1]
+
+
+def _path_violations(g: Graph, layout: BlockLayout) -> Iterator[tuple]:
+    """Connector vertices whose neighbors on their own connector are not
+    exactly their path neighbors."""
+    for p, q, chain in layout.connectors():
+        cmask = mask_of(chain)
+        for i, v in enumerate(chain):
+            path_nbrs = mask_of(chain[max(i - 1, 0) : i + 2]) & ~(1 << v)
+            if g.adj[v] & cmask != path_nbrs:
+                yield ("connector", p, q, v)
+
+
+def _stray_attachments(g: Graph, layout: BlockLayout) -> Iterator[tuple[int, int]]:
+    """(endpoint, neighbor) pairs where a connector's first vertex reaches
+    beyond the indexed left blocks or its last beyond the indexed right
+    blocks, its own path neighbor aside."""
+    left_indexed = layout.left_mask() & ~mask_of(layout.left_block(layout.pairs))
+    right_indexed = layout.right_mask() & ~mask_of(layout.right_block(layout.pairs))
+    for _, _, chain in layout.connectors():
+        for end, nxt, allowed in (
+            (chain[0], chain[1], left_indexed),
+            (chain[-1], chain[-2], right_indexed),
+        ):
+            stray = g.adj[end] & ~(1 << nxt) & ~allowed
+            if stray:
+                yield end, next(bits(stray))
 
 
 def certify_structure(result: ConstructionResult) -> CertificateReport:
     g = result.graph
     layout = result.layout
-    facts: list[CertificateFact] = []
-
-    # connector paths are exactly the induced structure
-    path_ok = True
-    path_witness = None
-    for p in range(layout.s):
-        for q in range(layout.base):
-            chain = list(layout.connector(p, q))
-            cmask = mask_of(chain)
-            expected = {}
-            for a, b in zip(chain, chain[1:]):
-                expected.setdefault(a, 0)
-                expected.setdefault(b, 0)
-                expected[a] |= 1 << b
-                expected[b] |= 1 << a
-            for v in chain:
-                if g.adj[v] & cmask != expected.get(v, 0):
-                    path_ok = False
-                    path_witness = ("connector", p, q, v)
-                    break
-            if not path_ok:
-                break
-        if not path_ok:
-            break
-    facts.append(CertificateFact("connector-paths-exact", path_ok, path_witness))
-
-    # middle connector vertices have degree exactly 2
-    mid_ok = True
-    mid_witness = None
-    for v in bits(layout.middle_mask()):
-        if g.degree(v) != 2:
-            mid_ok = False
-            mid_witness = (v, g.degree(v))
-            break
-    facts.append(CertificateFact("middle-degree-two", mid_ok, mid_witness))
-
-    # independence of each side joined with its alternating connector set
+    if layout.n != g.n:
+        raise ValueError(f"layout has n={layout.n} but the graph has n={g.n}")
+    middles = layout.middle_mask()
     set1, set2 = _alternating_connector_sets(layout)
-    for name, mask in (
-        ("left-with-mirror-set-independent", layout.left_mask() | set2),
-        ("right-with-near-set-independent", layout.right_mask() | set1),
-    ):
-        ok = is_independent(g, mask)
-        witness = None
-        if not ok:
-            for u in bits(mask):
-                inside = g.adj[u] & mask
-                if inside:
-                    witness = (u, next(bits(inside)))
-                    break
-        facts.append(CertificateFact(name, ok, witness))
-
-    # removing the middles leaves a bipartite graph
-    rest = g.vertex_mask & ~layout.middle_mask()
-    sub_adj = [g.adj[v] & rest if rest >> v & 1 else 0 for v in range(g.n)]
-    stripped = Graph.from_adjacency(sub_adj)
-    facts.append(
-        CertificateFact("bipartite-without-middles", two_coloring(stripped) is not None)
-    )
-
-    # connector endpoints attach only to indexed blocks on the correct side
-    attach_ok = True
-    attach_witness = None
-    left_indexed = layout.left_mask() & ~mask_of(layout.left_block(layout.pairs))
-    right_indexed = layout.right_mask() & ~mask_of(layout.right_block(layout.pairs))
-    for p in range(layout.s):
-        for q in range(layout.base):
-            first = layout.connector_vertex(p, q, 1)
-            last = layout.connector_vertex(p, q, layout.connector_len)
-            second = layout.connector_vertex(p, q, 2)
-            second_last = layout.connector_vertex(p, q, layout.connector_len - 1)
-            bad_first = g.adj[first] & ~(1 << second) & ~left_indexed
-            bad_last = g.adj[last] & ~(1 << second_last) & ~right_indexed
-            if bad_first:
-                attach_ok = False
-                attach_witness = (first, next(bits(bad_first)))
-                break
-            if bad_last:
-                attach_ok = False
-                attach_witness = (last, next(bits(bad_last)))
-                break
-        if not attach_ok:
-            break
-    facts.append(CertificateFact("endpoint-attachments-one-sided", attach_ok, attach_witness))
-
-    return CertificateReport(facts)
+    return CertificateReport([
+        # connector paths are exactly the induced structure
+        _fact("connector-paths-exact", next(_path_violations(g, layout), None)),
+        _fact(
+            "middle-degree-two",
+            next(((v, g.degree(v)) for v in bits(middles) if g.degree(v) != 2), None),
+        ),
+        # independence of each side joined with its alternating connector set
+        _fact(
+            "left-with-mirror-set-independent",
+            first_edge_within(g, layout.left_mask() | set2),
+        ),
+        _fact(
+            "right-with-near-set-independent",
+            first_edge_within(g, layout.right_mask() | set1),
+        ),
+        # removing the middles leaves a bipartite graph
+        CertificateFact(
+            "bipartite-without-middles",
+            two_coloring(g, within=g.vertex_mask & ~middles) is not None,
+        ),
+        _fact("endpoint-attachments-one-sided", next(_stray_attachments(g, layout), None)),
+    ])
 
 
 # ---------------------------------------------------------------------------

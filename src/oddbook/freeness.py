@@ -17,6 +17,7 @@ as those of the unpruned search.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -69,10 +70,6 @@ class Witness:
     def hub_edge(self) -> tuple[int, int]:
         return self.mapping[0], self.mapping[1]
 
-    def page_hosts(self, i: int) -> tuple[int, ...]:
-        width = 2 * self.k - 1
-        return self.mapping[2 + i * width : 2 + (i + 1) * width]
-
     def host_neighbors(self, host: int) -> tuple[int, ...]:
         """Witness-neighbors of a host vertex that is in the image."""
         pat = _pattern_cache(self.s, self.k)
@@ -93,14 +90,7 @@ class Witness:
         }
 
 
-_PATTERNS: dict[tuple[int, int], object] = {}
-
-
-def _pattern_cache(s: int, k: int):
-    key = (s, k)
-    if key not in _PATTERNS:
-        _PATTERNS[key] = build_odd_book(s, k)
-    return _PATTERNS[key]
+_pattern_cache = functools.cache(build_odd_book)
 
 
 def validate_witness(g: Graph, w: Witness) -> bool:

@@ -105,9 +105,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        return bits(self.adj[u])
-
     @property
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -177,9 +174,19 @@ def count_edges_between(g: Graph, a: int | Iterable[int], b: int | Iterable[int]
     return sum((g.adj[u] & bmask).bit_count() for u in bits(amask))
 
 
+def first_edge_within(g: Graph, mask: int) -> tuple[int, int] | None:
+    """Lexicographically first edge (u, v), u < v, with both ends in `mask`,
+    or None when `mask` is independent.  The first vertex u with a neighbor
+    inside `mask` has none below it there, so v is its smallest one."""
+    for u in bits(mask):
+        inside = g.adj[u] & mask
+        if inside:
+            return u, (inside & -inside).bit_length() - 1
+    return None
+
+
 def is_independent(g: Graph, vertices: int | Iterable[int]) -> bool:
-    mask = as_mask(vertices)
-    return all(not (g.adj[u] & mask) for u in bits(mask))
+    return first_edge_within(g, as_mask(vertices)) is None
 
 
 def neighborhood(adj: list[int], mask: int) -> int:

@@ -97,10 +97,10 @@ def odd_book_issues(p: OddBook) -> list[str]:
 _CHROMATIC_CAP = 32
 
 
-def chromatic_number(g: Graph, max_n: int = _CHROMATIC_CAP) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by backtracking, capped to small graphs."""
-    if g.n > max_n:
-        raise ValueError(f"exact coloring refused for n > {max_n}")
+    if g.n > _CHROMATIC_CAP:
+        raise ValueError(f"exact coloring refused for n > {_CHROMATIC_CAP}")
     if g.n == 0:
         return 0
     if g.num_edges() == 0:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bipartite import Biclique, CorePartition
 from .freeness import NotMaximalError, Witness, find_book_using_edge, _neighbor_orders
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, first_edge_within, mask_of
 
 
 class NonEdgeClass(Enum):
@@ -163,15 +163,6 @@ def _first_cross_non_edge(g: Graph, left: int, right: int):
     return None
 
 
-def _first_intra_edge(g: Graph, side: int):
-    for u in bits(side):
-        inside = g.adj[u] & side
-        inside &= ~((1 << (u + 1)) - 1)
-        if inside:
-            return u, next(bits(inside))
-    return None
-
-
 def deletion_pipeline(
     g: Graph, part: CorePartition, s: int, k: int
 ) -> tuple[Biclique, DeletionTrace]:
@@ -194,7 +185,7 @@ def deletion_pipeline(
     for side_name in ("left", "right"):
         while True:
             side = left if side_name == "left" else right
-            hit = _first_intra_edge(g, side)
+            hit = first_edge_within(g, side)
             if hit is None:
                 break
             u, v = hit

@@ -490,3 +490,201 @@ def connected_components_ref(g: Graph, within: int | None = None) -> list[int]:
         comps.append(comp)
         remaining &= ~comp
     return comps
+
+
+# The construction's geometry and structure certificate as they were before
+# the connector walk and the first-violation rule were shared: each block,
+# connector and mask is derived from the layout's scalar fields here.
+
+
+def left_block_ref(layout, i: int) -> range:
+    if i == layout.pairs:
+        start = (
+            2 * layout.pairs * layout.block_size
+            + layout.connector_count * layout.connector_len
+        )
+        return range(start, start + layout.left_tail_size)
+    return range(i * layout.block_size, (i + 1) * layout.block_size)
+
+
+def right_block_ref(layout, i: int) -> range:
+    if i == layout.pairs:
+        start = (
+            2 * layout.pairs * layout.block_size
+            + layout.connector_count * layout.connector_len
+            + layout.left_tail_size
+        )
+        return range(start, start + layout.right_tail_size)
+    base = layout.pairs * layout.block_size
+    return range(base + i * layout.block_size, base + (i + 1) * layout.block_size)
+
+
+def connector_ref(layout, p: int, q: int) -> range:
+    start = 2 * layout.pairs * layout.block_size + (p * layout.base + q) * layout.connector_len
+    return range(start, start + layout.connector_len)
+
+
+def layout_masks_ref(layout) -> tuple[int, int, int, int]:
+    """(left, right, connector, middle) masks."""
+    left = right = conn = middle = 0
+    for i in range(layout.pairs + 1):
+        left |= mask_of(left_block_ref(layout, i))
+        right |= mask_of(right_block_ref(layout, i))
+    for p in range(layout.s):
+        for q in range(layout.base):
+            conn |= mask_of(connector_ref(layout, p, q))
+            middle |= 1 << connector_ref(layout, p, q)[layout.k - 1]
+    return left, right, conn, middle
+
+
+def label_of_ref(layout, v: int) -> tuple:
+    for i in range(layout.pairs + 1):
+        if v in left_block_ref(layout, i):
+            return ("left", i)
+        if v in right_block_ref(layout, i):
+            return ("right", i)
+    for p in range(layout.s):
+        for q in range(layout.base):
+            rng = connector_ref(layout, p, q)
+            if v in rng:
+                return ("connector", p, q, v - rng.start + 1)
+    raise ValueError(f"vertex {v} outside layout")
+
+
+def _alternating_connector_sets_ref(layout) -> tuple[int, int]:
+    k = layout.k
+    set1 = 0
+    set2 = 0
+    for p in range(layout.s):
+        for q in range(layout.base):
+            for r in range(1, layout.connector_len + 1):
+                if r == k:
+                    continue
+                v = connector_ref(layout, p, q)[r - 1]
+                before = r < k
+                odd = r % 2 == 1
+                if (before and odd) or (not before and not odd):
+                    set1 |= 1 << v
+                else:
+                    set2 |= 1 << v
+    return set1, set2
+
+
+def certify_structure_ref(result) -> dict:
+    """The certificate's `to_json()` document."""
+    g = result.graph
+    layout = result.layout
+    left_mask, right_mask, _, middle_mask = layout_masks_ref(layout)
+    facts = []
+
+    path_ok = True
+    path_witness = None
+    for p in range(layout.s):
+        for q in range(layout.base):
+            chain = list(connector_ref(layout, p, q))
+            cmask = mask_of(chain)
+            expected = {}
+            for a, b in zip(chain, chain[1:]):
+                expected.setdefault(a, 0)
+                expected.setdefault(b, 0)
+                expected[a] |= 1 << b
+                expected[b] |= 1 << a
+            for v in chain:
+                if g.adj[v] & cmask != expected.get(v, 0):
+                    path_ok = False
+                    path_witness = ["connector", p, q, v]
+                    break
+            if not path_ok:
+                break
+        if not path_ok:
+            break
+    facts.append(("connector-paths-exact", path_ok, path_witness))
+
+    mid_ok = True
+    mid_witness = None
+    for v in bits(middle_mask):
+        if g.degree(v) != 2:
+            mid_ok = False
+            mid_witness = [v, g.degree(v)]
+            break
+    facts.append(("middle-degree-two", mid_ok, mid_witness))
+
+    set1, set2 = _alternating_connector_sets_ref(layout)
+    for name, mask in (
+        ("left-with-mirror-set-independent", left_mask | set2),
+        ("right-with-near-set-independent", right_mask | set1),
+    ):
+        ok = all(not (g.adj[u] & mask) for u in bits(mask))
+        witness = None
+        if not ok:
+            for u in bits(mask):
+                inside = g.adj[u] & mask
+                if inside:
+                    witness = [u, next(bits(inside))]
+                    break
+        facts.append((name, ok, witness))
+
+    rest = g.vertex_mask & ~middle_mask
+    stripped = Graph(g.n)
+    stripped.adj = [g.adj[v] & rest if rest >> v & 1 else 0 for v in range(g.n)]
+    facts.append(("bipartite-without-middles", two_coloring_ref(stripped) is not None, None))
+
+    attach_ok = True
+    attach_witness = None
+    left_indexed = left_mask & ~mask_of(left_block_ref(layout, layout.pairs))
+    right_indexed = right_mask & ~mask_of(right_block_ref(layout, layout.pairs))
+    for p in range(layout.s):
+        for q in range(layout.base):
+            chain = connector_ref(layout, p, q)
+            first, second, second_last, last = chain[0], chain[1], chain[-2], chain[-1]
+            bad_first = g.adj[first] & ~(1 << second) & ~left_indexed
+            bad_last = g.adj[last] & ~(1 << second_last) & ~right_indexed
+            if bad_first:
+                attach_ok = False
+                attach_witness = [first, next(bits(bad_first))]
+                break
+            if bad_last:
+                attach_ok = False
+                attach_witness = [last, next(bits(bad_last))]
+                break
+        if not attach_ok:
+            break
+    facts.append(("endpoint-attachments-one-sided", attach_ok, attach_witness))
+
+    return {
+        "ok": all(ok for _, ok, _ in facts),
+        "facts": [{"name": n, "ok": ok, "witness": w} for n, ok, w in facts],
+    }
+
+
+def find_parity_path_ref(
+    g: Graph, u: int, v: int, length: int, sides: tuple[int, int], avoid: int = 0
+) -> list[int] | None:
+    """The parity path search before it ran on the odd-book path kernel:
+    its own DFS in ascending id order, pruned by BFS distance to v.  The
+    argument checks are left to the caller."""
+    endpoints = 1 << u | 1 << v
+    avoid_interior = avoid & ~endpoints
+    dist = bfs_distances_ref(g, v, allowed=g.vertex_mask & ~avoid_interior)
+
+    path = [u]
+
+    def extend(x: int, rem: int, used: int) -> bool:
+        if rem == 1:
+            if g.adj[x] >> v & 1:
+                path.append(v)
+                return True
+            return False
+        cand = g.adj[x] & ~used & ~avoid_interior
+        for w in bits(cand):
+            if dist[w] > rem - 1:
+                continue
+            path.append(w)
+            if extend(w, rem - 1, used | 1 << w):
+                return True
+            path.pop()
+        return False
+
+    if extend(u, length, endpoints):
+        return path
+    return None

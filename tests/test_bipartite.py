@@ -28,6 +28,7 @@ from oddbook.graph import (
     two_coloring,
 )
 from .oracles import (
+    find_parity_path_ref,
     greedy_biclique_ref,
     longest_path_brute,
     max_biclique_brute,
@@ -292,6 +293,31 @@ def test_parity_path_rejects_non_bipartite_sides():
     g.add_edge(0, 2)
     with pytest.raises(ValueError):
         find_parity_path(g, 0, 1, 3, (mask_of([0, 2]), mask_of([1, 3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_parity_path_matches_reference(seed):
+    """The same first path as the DFS the search replaced, for every valid
+    endpoint pair and length on a random bipartite host with an avoid set."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 25)
+    side0 = rng.getrandbits(n)
+    sides = (side0, ((1 << n) - 1) & ~side0)
+    p = rng.choice([0.15, 0.3, 0.5])
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (side0 >> u ^ side0 >> v) & 1 and rng.random() < p:
+                g.add_edge(u, v)
+    for _ in range(8):
+        u, v = rng.sample(range(n), 2)
+        cross = (side0 >> u ^ side0 >> v) & 1
+        length = rng.choice([x for x in range(2, 10) if x % 2 == cross])
+        avoid = rng.getrandbits(n) & rng.getrandbits(n)
+        assert find_parity_path(g, u, v, length, sides, avoid=avoid) == (
+            find_parity_path_ref(g, u, v, length, sides, avoid=avoid)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,42 @@ def test_verify_certificate_roundtrip(tmp_path):
     assert rc == 0
 
 
+def _construct(tmp_path, n):
+    assert main(["construct", "-n", str(n), "-s", "2", "-k", "2", "-o", str(tmp_path)]) == 0
+    return (tmp_path / f"construction_n{n}_s2_k2.g6",
+            tmp_path / f"construction_n{n}_s2_k2.layout.json")
+
+
+def test_verify_certificate_layout_of_another_order(tmp_path, capsys):
+    g6, _ = _construct(tmp_path, 32)
+    _, layout = _construct(tmp_path, 64)
+    capsys.readouterr()
+    rc = main(["verify", "-i", str(g6), "--check", "certificate",
+               "--layout", str(layout)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n=64" in err and "n=32" in err
+
+
+@pytest.mark.parametrize("key, value", [("s", None), ("n", "64")])
+def test_verify_certificate_layout_with_bad_key(tmp_path, capsys, key, value):
+    g6, layout = _construct(tmp_path, 64)
+    doc = json.loads(layout.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    layout.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["verify", "-i", str(g6), "--check", "certificate",
+               "--layout", str(layout)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: layout key ") and err.count("\n") == 1
+    assert repr(key) in err
+
+
 def test_stability_complete_bipartite(tmp_path):
     g6 = _write_g6(tmp_path / "k99.g6", complete_bipartite(9, 9))
     rc = main(["stability", "-i", g6, "-s", "2", "-k", "2", "-o", str(tmp_path)])

@@ -1,3 +1,5 @@
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +18,9 @@ from oddbook.construction import (
     plan_layout,
     specified_edge_count,
 )
-from oddbook.graph import complete_bipartite, count_edges_between, is_independent, mask_of
+from oddbook.graph import bits, complete_bipartite, count_edges_between, is_independent, mask_of
+
+from .oracles import certify_structure_ref, label_of_ref, layout_masks_ref
 
 
 def test_digit_zero():
@@ -210,3 +214,60 @@ def test_degenerate_base_flagged():
     result = build_min_member(layout)
     assert result.graph.num_edges() == result.specified_edge_count
     assert certify_structure(result).ok
+
+
+def _feasible_layouts(max_n):
+    for n in range(8, max_n + 1):
+        for s in (2, 3):
+            for k in (2, 3):
+                for alpha in ("1/2", "1/3", "1/5"):
+                    try:
+                        yield plan_layout(n, s, k, Fraction(alpha))
+                    except LayoutInfeasibleError:
+                        pass
+
+
+def test_certificate_matches_reference():
+    # every feasible layout up to n = 100: the geometry, and the certificate
+    # of the member and of a copy with 1-3 flipped pairs; every other copy
+    # flips pairs at connector vertices, so the connector facts see violations
+    rng = random.Random(5)
+    for i, layout in enumerate(_feasible_layouts(100)):
+        assert (
+            layout.left_mask(), layout.right_mask(),
+            layout.connector_mask(), layout.middle_mask(),
+        ) == layout_masks_ref(layout)
+        assert [layout.label_of(v) for v in range(layout.n)] == [
+            label_of_ref(layout, v) for v in range(layout.n)
+        ]
+        result = build_min_member(layout)
+        flipped = result.graph.copy()
+        ends = list(bits(layout.connector_mask())) if i % 2 else range(layout.n)
+        for _ in range(rng.randint(1, 3)):
+            u = rng.choice(ends)
+            v = rng.choice([w for w in range(layout.n) if w != u])
+            (flipped.delete_edge if flipped.has_edge(u, v) else flipped.add_edge)(u, v)
+        for g in (result.graph, flipped):
+            mutated = replace(result, graph=g)
+            got = json.loads(json.dumps(certify_structure(mutated).to_json()))
+            assert got == certify_structure_ref(mutated), (layout, g.adj)
+
+
+def test_certificate_rejects_layout_of_another_order(min_member_64):
+    layout = plan_layout(32, 2, 2, Fraction(1, 2))
+    with pytest.raises(ValueError, match="n=32"):
+        certify_structure(replace(min_member_64, layout=layout))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("s", None), ("n", "64"), ("block_size", 4.0), ("alpha", None),
+    ("alpha", "1/0"), ("left_blocks", None),
+])
+def test_layout_json_hostile_keys(key, value):
+    doc = plan_layout(64, 2, 2, Fraction(1, 2)).to_json()
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=repr(key)):
+        BlockLayout.from_json(doc)

@@ -18,6 +18,7 @@ from oddbook.graph import (
     decode_edge_list,
     decode_graph6,
     encode_edge_list,
+    first_edge_within,
     encode_graph6,
     induced_subgraph,
     is_independent,
@@ -316,6 +317,18 @@ def test_bfs_helpers_match_reference(seed, n):
         assert connected_components(g, within) == connected_components_ref(g, within)
         for source in range(n):
             assert bfs_distances(g, source, within) == bfs_distances_ref(g, source, within)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(0, 14))
+@example(0, 0)
+def test_first_edge_within_is_first_inside_edge(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(n, rng.choice([0.1, 0.3, 0.6]), rng)
+    for mask in (0, g.vertex_mask, rng.getrandbits(n) if n else 0):
+        inside = [(u, v) for u, v in combinations(range(n), 2)
+                  if mask >> u & mask >> v & 1 and g.has_edge(u, v)]
+        assert first_edge_within(g, mask) == min(inside, default=None)
 
 
 def test_bits_and_mask_roundtrip():
