@@ -220,8 +220,19 @@ class BlockLayout:
             alpha = Fraction(doc["alpha"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             raise ValueError("layout key 'alpha' missing or not an exact rational") from None
+        if not 0 < alpha <= Fraction(1, 2):
+            raise ValueError("layout key 'alpha' outside (0, 1/2]")
         layout = cls(doc["n"], doc["s"], doc["k"], alpha, doc["base"], doc["block_size"])
-        if layout.to_json()["left_blocks"] != doc.get("left_blocks"):
+        if min(layout.n, layout.s, layout.k, layout.base, layout.block_size) < 1:
+            raise ValueError("layout sizes n, s, k, base and block_size must be positive")
+        # 2 ** s > n already rules out base >= 2, without computing base ** s
+        if (layout.base > 1 and layout.s >= layout.n.bit_length()) or layout.residual < 0:
+            raise ValueError(f"layout geometry does not fit in n={layout.n}")
+        blocks = doc.get("left_blocks")
+        if not isinstance(blocks, list) or len(blocks) != layout.pairs + 1 or any(
+            not isinstance(block, list) or len(block) != len(r) or block != list(r)
+            for block, r in zip(blocks, map(layout.left_block, range(len(blocks))))
+        ):
             raise ValueError(
                 "layout key 'left_blocks' missing or inconsistent with derived geometry"
             )
@@ -297,7 +308,9 @@ def build_min_member(layout: BlockLayout) -> ConstructionResult:
             for v in bits(attach):
                 adj[v] |= 1 << end
 
-    g = Graph.from_adjacency(adj)
+    # every edge was set in both rows, so the rows need no validation
+    g = Graph(layout.n)
+    g.adj = adj
     return ConstructionResult(
         graph=g, layout=layout, specified_edge_count=specified_edge_count(layout)
     )

@@ -9,15 +9,19 @@ witness names the pattern edge orbit: hub-hub, hub-page (r = 0 or 2k-1)
 or page-interior.  All searches are exhaustive and deterministic
 (neighbors visited in ascending-degree order, ties by id).
 
-The path kernel prunes with two necessary conditions, walk masks in
-`_iter_paths` and a layered cut bound in `_find_pages`; each cuts only
-branches that cannot succeed, so verdicts and first witnesses are the same
-as those of the unpruned search.
+The path kernel `_iter_paths` is one depth-first loop with an explicit
+stack, so a search of any length runs in one generator frame.  It prunes
+with two necessary conditions, walk masks in `_iter_paths` and a layered
+cut bound in `_find_pages`; each cuts only branches that cannot succeed, so
+verdicts and first witnesses are the same as those of the unpruned search.
+The search state `_Orders` (sorted rows, degrees, walk masks) is built once
+per graph and, in `saturate`, updated in place as edges are added.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -125,6 +129,13 @@ class _Orders(dict):
     the degrees, and walk masks are memoised per goal.  The object reads the
     graph's adjacency list in place, so after the graph gains an edge call
     `edge_added` before the next search.
+
+    `edge_added` updates the state in place to what a fresh one would be.
+    An added edge uv changes the key (degree, id) of u and v alone, and only
+    the rows of N(u) | N(v) hold them, so moving u and v keeps every cached
+    row sorted.  Walks are only gained, so walk masks only grow: W'_0 = W_0
+    and W'_{d+1} = N'(W'_d) = W_{d+1} | N'(W'_d - W_d) | the crossings of uv
+    from W'_d, where N' is the neighborhood with uv.
     """
 
     __slots__ = ("adj", "deg", "_walks")
@@ -152,16 +163,29 @@ class _Orders(dict):
         return masks
 
     def edge_added(self, u: int, v: int) -> None:
-        """Catch up with the new edge uv: only u and v change degree, so only
-        the rows that contain u or v, those of N(u) | N(v), are dropped to be
-        sorted again on next use.  The edge adds walks, so every memoised
-        mask is dropped."""
-        self.deg[u] += 1
-        self.deg[v] += 1
-        adj = self.adj
-        for w in bits(adj[u] | adj[v]):
-            self.pop(w, None)
-        self._walks.clear()
+        """Catch up with the new edge uv: raise the degree of u, then of v,
+        and move it right in the cached rows that hold it (every other key
+        there is current); the row of the other end gains it.  Then grow
+        every memoised walk mask."""
+        deg, adj = self.deg, self.adj
+        for x, y in ((u, v), (v, u)):
+            deg[x] += 1
+            key = (deg[x], x)
+            for w in bits(adj[x]):
+                row = self.get(w)
+                if row is not None:
+                    if w != y:
+                        i = row.index(x)
+                        row = row[:i] + row[i + 1:]
+                    j = bisect_left(row, key, key=lambda z: (deg[z], z))
+                    self[w] = row[:j] + (x,) + row[j:]
+        for masks in self._walks.values():
+            gained = 0  # W'_{d-1} - W_{d-1}
+            for d in range(1, len(masks)):
+                below = masks[d - 1]
+                grown = masks[d] | neighborhood(adj, gained)
+                grown |= (below >> u & 1) << v | (below >> v & 1) << u
+                gained, masks[d] = grown & ~masks[d], grown
 
 
 def _neighbor_orders(g: Graph) -> _Orders:
@@ -172,7 +196,10 @@ def _iter_paths(orders, start, goal, length, banned):
     """Yield interior tuples of start-goal paths with exactly `length` edges.
 
     Interiors avoid `banned`; start and goal are excluded automatically.
-    Exhaustive; neighbor order gives determinism.
+    Exhaustive depth-first search; neighbor order gives determinism.  The
+    search runs in this one generator frame: `frames` saves the row
+    iterator, candidate mask and used mask of each level above the current
+    one, and the last interior vertex is expanded inline.
 
     Two pruning rules cut only branches that yield nothing, so the paths
     that are yielded keep their order:
@@ -182,7 +209,8 @@ def _iter_paths(orders, start, goal, length, banned):
       walk of rem-1 edges from w to goal;
     * look-ahead: when rem >= 3, w must also have a neighbor outside the
       used set in W_{rem-2}(goal), namely the vertex that follows w on the
-      path; it is tested before descending, so a dead end costs no call.
+      path.  Those neighbors are w's own candidates, so the test costs no
+      extra work.
     """
     if length < 1:
         return
@@ -191,36 +219,45 @@ def _iter_paths(orders, start, goal, length, banned):
         if adj[start] >> goal & 1:
             yield ()
         return
+    used = banned | 1 << start | 1 << goal
+    if length == 2:
+        cand = adj[start] & adj[goal] & ~used
+        if cand:
+            yield from ((w,) for w in orders[start] if cand >> w & 1)
+        return
     masks = orders.walks(goal, length - 1)
-    goal_adj = adj[goal]
+    cand = adj[start] & masks[length - 1] & ~used
+    if not cand:
+        return
     interior: list[int] = []
-
-    def extend(v, rem, used):
-        if rem == 2:
-            cand = adj[v] & goal_adj & ~used
-            if not cand:
-                return
-            for w in orders[v]:
-                if cand >> w & 1:
-                    interior.append(w)
-                    yield tuple(interior)
-                    interior.pop()
-            return
-        cand = adj[v] & masks[rem - 1] & ~used
-        if not cand:
-            return
+    frames = []
+    row = iter(orders[start])
+    rem = length
+    while True:
         ahead = masks[rem - 2]
-        for w in orders[v]:
-            if not cand >> w & 1:
-                continue
-            used_w = used | 1 << w
-            if not adj[w] & ahead & ~used_w:
-                continue
-            interior.append(w)
-            yield from extend(w, rem - 1, used_w)
+        for w in row:
+            if cand >> w & 1:
+                used_w = used | 1 << w
+                nxt = adj[w] & ahead & ~used_w
+                if nxt:
+                    break
+        else:
+            if not frames:
+                return
+            row, cand, used = frames.pop()
             interior.pop()
-
-    yield from extend(start, length, banned | 1 << start | 1 << goal)
+            rem += 1
+            continue
+        if rem == 3:
+            prefix = (*interior, w)
+            for x in orders[w]:
+                if nxt >> x & 1:
+                    yield (*prefix, x)
+            continue
+        frames.append((row, cand, used))
+        interior.append(w)
+        row, cand, used = iter(orders[w]), nxt, used_w
+        rem -= 1
 
 
 def _layers_admit(adj, h1, h2, count, length, banned):
@@ -265,7 +302,10 @@ def _find_pages(orders, h1, h2, count, length, banned):
     """
     if count == 0:
         return []
-    bounded = count < 2
+    if count == 1:
+        first = next(_iter_paths(orders, h1, h2, length, banned), None)
+        return None if first is None else [first]
+    bounded = False
     for interior in _iter_paths(orders, h1, h2, length, banned):
         rest = _find_pages(
             orders, h1, h2, count - 1, length, banned | mask_of(interior)
@@ -375,7 +415,7 @@ def find_book_using_edge(
 
 
 def is_book_free(
-    g: Graph, s: int, k: int, size_limit: int | None = DEFAULT_SIZE_LIMIT
+    g: Graph, s: int, k: int, size_limit: int | None = DEFAULT_SIZE_LIMIT, _orders=None
 ) -> tuple[bool, Witness | None]:
     """True iff the graph has no (s, k) odd-book subgraph; on False the
     witness is the first copy in edge-lexicographic search order."""
@@ -384,7 +424,7 @@ def is_book_free(
             f"exhaustive search refused for n={g.n} > {size_limit}; "
             "pass size_limit=None to override"
         )
-    orders = _neighbor_orders(g)
+    orders = _orders if _orders is not None else _neighbor_orders(g)
     for u, v in g.edges():
         w = find_book_at_edge(g, u, v, s, k, _orders=orders)
         if w is not None:
@@ -393,8 +433,9 @@ def is_book_free(
 
 
 def _probe_chunk(args):
-    g, s, k, pairs = args
-    orders = _neighbor_orders(g)
+    g, s, k, pairs, orders = args
+    if orders is None:
+        orders = _neighbor_orders(g)
     return [
         (x, y)
         for x, y in pairs
@@ -412,7 +453,8 @@ def is_maximal_book_free(
     """Every non-edge must create a copy when added; failing non-edges are
     returned in lexicographic order.  Raises NotBookFreeError if the input
     already contains the pattern."""
-    free, witness = is_book_free(g, s, k, size_limit=size_limit)
+    orders = _neighbor_orders(g)
+    free, witness = is_book_free(g, s, k, size_limit=size_limit, _orders=orders)
     if not free:
         raise NotBookFreeError(witness)
     non_edges = [
@@ -423,7 +465,7 @@ def is_maximal_book_free(
     ]
     if workers > 1 and len(non_edges) > 4 * workers:
         chunks = [
-            (g, s, k, non_edges[i::workers]) for i in range(workers)
+            (g, s, k, non_edges[i::workers], None) for i in range(workers)
         ]
         failing: list[tuple[int, int]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -431,7 +473,7 @@ def is_maximal_book_free(
                 failing.extend(part)
         failing.sort()
     else:
-        failing = _probe_chunk((g, s, k, non_edges))
+        failing = _probe_chunk((g, s, k, non_edges, orders))
     return not failing, failing
 
 
@@ -444,12 +486,12 @@ def saturate(
     copy created by a rejected pair persists in every later supergraph, so
     a single pass already reaches the fixpoint.
     """
-    free, witness = is_book_free(g, s, k, size_limit=size_limit)
+    out = g.copy()
+    orders = _neighbor_orders(out)
+    free, witness = is_book_free(out, s, k, size_limit=size_limit, _orders=orders)
     if not free:
         raise NotBookFreeError(witness)
-    out = g.copy()
     added: list[tuple[int, int]] = []
-    orders = _neighbor_orders(out)
     for u in range(out.n):
         for v in range(u + 1, out.n):
             if out.has_edge(u, v):

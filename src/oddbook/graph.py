@@ -166,14 +166,6 @@ def non_edges_between(
     return out
 
 
-def count_edges_between(g: Graph, a: int | Iterable[int], b: int | Iterable[int]) -> int:
-    amask = as_mask(a)
-    bmask = as_mask(b)
-    if amask & bmask:
-        raise ValueError("vertex sets overlap")
-    return sum((g.adj[u] & bmask).bit_count() for u in bits(amask))
-
-
 def first_edge_within(g: Graph, mask: int) -> tuple[int, int] | None:
     """Lexicographically first edge (u, v), u < v, with both ends in `mask`,
     or None when `mask` is independent.  The first vertex u with a neighbor
@@ -192,8 +184,10 @@ def is_independent(g: Graph, vertices: int | Iterable[int]) -> bool:
 def neighborhood(adj: list[int], mask: int) -> int:
     """Mask of the vertices adjacent to some vertex of `mask`."""
     reach = 0
-    for v in bits(mask):
-        reach |= adj[v]
+    while mask:
+        low = mask & -mask
+        reach |= adj[low.bit_length() - 1]
+        mask ^= low
     return reach
 
 
@@ -264,15 +258,6 @@ def find_odd_cycle(g: Graph, within: int | None = None) -> list[int] | None:
                         x = parent[x]
                     return anc_u[: seen[x] + 1] + tail[::-1]
     return None
-
-
-def bfs_distances(g: Graph, source: int, allowed: int | None = None) -> list[int]:
-    """BFS distances from source; unreachable vertices get n (an upper bound+1)."""
-    dist = [g.n or 1] * g.n
-    for d, layer in enumerate(bfs_layers(g, source, allowed)):
-        for u in bits(layer):
-            dist[u] = d
-    return dist
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:

@@ -7,7 +7,7 @@ oracle enumerates subsets, and the path oracle enumerates simple paths.
 from itertools import combinations
 
 from oddbook.bipartite import Biclique, BicliqueSearch
-from oddbook.graph import Graph, GraphFormatError, bits, mask_of
+from oddbook.graph import Graph, GraphFormatError, as_mask, bfs_layers, bits, mask_of
 from oddbook.pattern import build_odd_book
 
 
@@ -688,3 +688,26 @@ def find_parity_path_ref(
     if extend(u, length, endpoints):
         return path
     return None
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def count_edges_between(g: Graph, a, b) -> int:
+    amask = as_mask(a)
+    bmask = as_mask(b)
+    if amask & bmask:
+        raise ValueError("vertex sets overlap")
+    return sum((g.adj[u] & bmask).bit_count() for u in bits(amask))
+
+
+def bfs_distances(g: Graph, source: int, allowed: int | None = None) -> list[int]:
+    """BFS distances from source; unreachable vertices get n (an upper
+    bound+1).  Built on the package's `bfs_layers`, so comparing it with
+    `bfs_distances_ref` checks that BFS."""
+    dist = [g.n or 1] * g.n
+    for d, layer in enumerate(bfs_layers(g, source, allowed)):
+        for u in bits(layer):
+            dist[u] = d
+    return dist

@@ -27,7 +27,6 @@ from oddbook.freeness import is_book_free, saturate
 from oddbook.graph import (
     Graph,
     bits,
-    count_edges_between,
     decode_graph6,
     encode_graph6,
     is_independent,
@@ -42,7 +41,7 @@ from oddbook.pattern import (
     odd_book_issues,
 )
 from oddbook.stability import deletion_pipeline
-from .oracles import contains_book_naive
+from .oracles import contains_book_naive, count_edges_between
 
 
 def _report(name: str, ok: bool, detail: str = ""):

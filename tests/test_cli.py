@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from oddbook.cli import build_parser, main
+from oddbook.construction import BlockLayout
 from oddbook.graph import Graph, complete_bipartite, cycle_graph, decode_graph6, encode_graph6
 
 
@@ -187,6 +189,19 @@ def test_verify_certificate_layout_with_bad_key(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: layout key ") and err.count("\n") == 1
     assert repr(key) in err
+
+
+def test_verify_certificate_layout_that_does_not_fit(tmp_path, capsys):
+    g6, layout = _construct(tmp_path, 32)
+    doc = BlockLayout(32, 2, 2, Fraction(1, 2), base=2, block_size=4).to_json()
+    layout.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["verify", "-i", str(g6), "--check", "certificate",
+               "--layout", str(layout)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not fit in n=32" in err
 
 
 def test_stability_complete_bipartite(tmp_path):

@@ -18,9 +18,9 @@ from oddbook.construction import (
     plan_layout,
     specified_edge_count,
 )
-from oddbook.graph import bits, complete_bipartite, count_edges_between, is_independent, mask_of
+from oddbook.graph import Graph, bits, complete_bipartite, is_independent, mask_of
 
-from .oracles import certify_structure_ref, label_of_ref, layout_masks_ref
+from .oracles import certify_structure_ref, count_edges_between, label_of_ref, layout_masks_ref
 
 
 def test_digit_zero():
@@ -271,3 +271,29 @@ def test_layout_json_hostile_keys(key, value):
         doc[key] = value
     with pytest.raises(ValueError, match=repr(key)):
         BlockLayout.from_json(doc)
+
+
+def test_layout_json_geometry_must_fit():
+    # residual -12: the blocks of this layout reach past vertex 31
+    doc = BlockLayout(32, 2, 2, Fraction(1, 2), base=2, block_size=4).to_json()
+    with pytest.raises(ValueError, match="does not fit in n=32"):
+        BlockLayout.from_json(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 0, "positive"), ("s", 0, "positive"), ("k", -1, "positive"),
+    ("base", 0, "positive"), ("block_size", 0, "positive"),
+    ("s", 10 ** 9, "does not fit"), ("base", 10 ** 6, "does not fit"),
+    ("alpha", "0", "'alpha'"),
+])
+def test_layout_json_rejects_bad_sizes(key, value, message):
+    doc = plan_layout(32, 2, 2, Fraction(1, 2)).to_json()
+    doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        BlockLayout.from_json(doc)
+
+
+def test_min_member_rows_pass_validation():
+    for n in range(64, 129):
+        g = build_min_member(plan_layout(n, 2, 2, Fraction(1, 2))).graph
+        assert g == Graph.from_adjacency(g.adj)

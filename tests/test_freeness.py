@@ -386,6 +386,33 @@ def test_incremental_orders_match_fresh(rng):
             assert orders.walks(0, 3) == fresh.walks(0, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+def test_incremental_upkeep_matches_fresh_state(seed, sk):
+    """Rows moved by bisect and walk masks grown in place equal the state
+    built from scratch, after every added edge, for every memoised goal."""
+    s, k = sk
+    rng = random.Random(seed)
+    n = rng.randrange(2, 4 * s * k)
+    g = random_graph(n, rng.uniform(0.05, 0.6), rng)
+    orders = _neighbor_orders(g)
+    for w in range(n):
+        orders[w]
+        orders.walks(w, 2 * k - 1)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    rng.shuffle(pairs)
+    for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
+        g.add_edge(u, v)
+        orders.edge_added(u, v)
+        fresh = _neighbor_orders(g)
+        assert dict(orders) == {w: fresh[w] for w in range(n)}
+        assert orders.deg == fresh.deg
+        assert len(orders._walks) == n
+        for goal, masks in orders._walks.items():
+            assert len(masks) == 2 * k
+            assert masks == fresh.walks(goal, 2 * k - 1)
+
+
 def _runs(u, lo, hi):
     return [(u, v) for v in range(lo, hi)]
 

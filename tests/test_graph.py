@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from oddbook.graph import (
     Graph,
     GraphFormatError,
-    bfs_distances,
     bits,
     complete_bipartite,
     complete_graph,
     connected_components,
-    count_edges_between,
     cycle_graph,
     decode_edge_list,
     decode_graph6,
@@ -30,8 +28,10 @@ from oddbook.graph import (
 )
 from .conftest import petersen
 from .oracles import (
+    bfs_distances,
     bfs_distances_ref,
     connected_components_ref,
+    count_edges_between,
     decode_graph6_ref,
     two_coloring_ref,
 )

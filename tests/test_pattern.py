@@ -1,6 +1,6 @@
 import pytest
 
-from oddbook.graph import bfs_distances, complete_bipartite, cycle_graph, two_coloring
+from oddbook.graph import complete_bipartite, cycle_graph, two_coloring
 from oddbook.pattern import (
     book_order,
     book_size,
@@ -9,6 +9,8 @@ from oddbook.pattern import (
     is_color_critical_edge,
     odd_book_issues,
 )
+
+from .oracles import bfs_distances
 
 
 def test_single_page_is_odd_cycle():
