@@ -59,12 +59,16 @@ def _positive(text: str) -> int:
 
 
 def _read_graph(path: str):
+    """Graph in a graph6 file, read as bytes so that any byte the format
+    does not allow is reported with its offset; exits 2 on failure."""
     try:
-        return decode_graph6(Path(path).read_text())
+        return decode_graph6(Path(path).read_bytes())
     except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
+        problem = f"cannot read {path}: {exc}"
     except GraphFormatError as exc:
-        raise SystemExit(f"cannot parse {path}: {exc}")
+        problem = f"cannot parse {path}: {exc}"
+    print(f"error: {problem}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _emit(report: dict, out: str | None) -> None:

@@ -260,7 +260,7 @@ def _iter_paths(orders, start, goal, length, banned):
         rem -= 1
 
 
-def _layers_admit(adj, h1, h2, count, length, banned):
+def _layers_admit(orders, h1, h2, count, length, banned):
     """Necessary condition for `count` interior-disjoint h1-h2 pages of
     `length` edges avoiding `banned`.
 
@@ -274,11 +274,20 @@ def _layers_admit(adj, h1, h2, count, length, banned):
     its copies of h1 and h2 exactly when some layer holds one vertex.  The
     pages' interiors are also disjoint sets of length-1 vertices inside the
     union of the layers, so the union needs count * (length-1) vertices.
+
+    Step i of the forward sweep keeps only vertices of W_{length-i}(h2),
+    a walk mask `_iter_paths` has already built for the same goal.  Every
+    vertex at position i of an allowed h1-h2 walk of `length` edges lies
+    there, so the backward layers are those of the uncut sweep, and a
+    forward count that fails only because of the cut would have failed at
+    the backward step: the verdict is unchanged, on far smaller masks.
     """
+    adj = orders.adj
+    walks = orders.walks(h2, length - 1)
     allowed = ~(banned | 1 << h1 | 1 << h2)
     fwd = [1 << h1]
-    for _ in range(length - 1):
-        reach = neighborhood(adj, fwd[-1]) & allowed
+    for i in range(1, length):
+        reach = neighborhood(adj, fwd[-1]) & allowed & walks[length - i]
         if reach.bit_count() < count:
             return False
         fwd.append(reach)
@@ -314,7 +323,7 @@ def _find_pages(orders, h1, h2, count, length, banned):
             return [interior] + rest
         if not bounded:
             bounded = True
-            if not _layers_admit(orders.adj, h1, h2, count, length, banned):
+            if not _layers_admit(orders, h1, h2, count, length, banned):
                 return None
     return None
 

@@ -8,6 +8,8 @@ so the adjacency stays symmetric and irreflexive.
 
 from __future__ import annotations
 
+import base64
+import functools
 from typing import Iterable, Iterator
 
 
@@ -329,6 +331,11 @@ def random_graph(n: int, p: float, rng) -> Graph:
 # graph6 codec (bit-exact conformance to the published format)
 
 _G6_MAX_ENCODE = 1 << 18
+_G6_DIGITS = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", _G6_DIGITS
+)
+_G6_BITS = [""] * 63 + [format(v, "06b") for v in range(64)]  # digit byte -> its bits
 
 
 def _g6_header(n: int) -> bytes:
@@ -343,37 +350,64 @@ def _g6_header(n: int) -> bytes:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode to graph6 text (no trailing newline)."""
+    """Encode to graph6 text (no trailing newline).
+
+    Column c of the upper triangle is row c of the adjacency below the
+    diagonal, so the bit vector is each of those rows written low bit first.
+    Six bits per byte, high bit first, is base64 with another alphabet."""
     n = g.n
     if n > _G6_MAX_ENCODE:
         raise ValueError(f"graph6 encoding capped at n <= {_G6_MAX_ENCODE}")
-    chunks = [_g6_header(n)]
-    acc = 0
-    nbits = 0
-    body = bytearray()
-    for col in range(1, n):
-        row_bits = g.adj[col]
-        for ro in range(col):
-            acc = acc << 1 | (row_bits >> ro & 1)
-            nbits += 1
-            if nbits == 6:
-                body.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        body.append((acc << (6 - nbits)) + 63)
-    chunks.append(bytes(body))
-    return b"".join(chunks).decode("ascii")
+    adj = g.adj
+    vector = "".join(
+        format(adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, n)
+    )
+    body = b""
+    if vector:
+        pad = -len(vector) % 24  # whole bytes, whole base64 quads
+        packed = (int(vector, 2) << pad).to_bytes((len(vector) + pad) // 8, "big")
+        body = base64.b64encode(packed).translate(_B64_TO_G6)[: (len(vector) + 5) // 6]
+    return (_g6_header(n) + body).decode("ascii")
+
+
+@functools.lru_cache(maxsize=4)
+def _transpose_masks(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap that transposes a size x size bit
+    matrix stored row r at bits r*size .. r*size+size-1.  The swap for h
+    exchanges the upper right and lower left h x h quarter of every
+    2h x 2h block: its mask holds the bits (r, j) with r & h == 0 and
+    j & h != 0, whose partners lie h*(size-1) bits higher."""
+    width = size // 8
+    out = []
+    h = size // 2
+    while h:
+        if h >= 8:
+            row = (bytes(h // 8) + b"\xff" * (h // 8)) * (size // (2 * h))
+        else:
+            row = bytes([sum(1 << j for j in range(8) if j & h)]) * width
+        mask = (row * h + bytes(width * h)) * (size // (2 * h))
+        out.append((h * (size - 1), int.from_bytes(mask, "little")))
+        h //= 2
+    return tuple(out)
 
 
 def decode_graph6(text: str | bytes) -> Graph:
-    """Decode graph6 text; an optional '>>graph6<<' prefix is accepted."""
+    """Decode graph6 text; an optional '>>graph6<<' prefix is accepted.
+
+    The bit vector lists the upper triangle column by column, which is the
+    lower triangle row by row.  Those rows, each padded to a power-of-two
+    width, form one big-int bit matrix; OR-ing in its transpose gives the
+    adjacency rows."""
     if isinstance(text, str):
-        data = text.strip().encode("ascii")
+        data = text.strip().encode("utf-8", "surrogatepass")
     else:
         data = bytes(text).strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
+    if isinstance(text, str) and not data.isascii():
+        # every character before the first non-ASCII one is one byte
+        bad = next(i for i, c in enumerate(data) if c > 127)
+        raise GraphFormatError("non-ASCII character in graph6 input", bad)
     if not data:
         raise GraphFormatError("empty graph6 input", 0)
     pos = 0
@@ -407,25 +441,33 @@ def decode_graph6(text: str | bytes) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise GraphFormatError("trailing bytes after graph6 bit vector", pos + nbytes)
+    body = data[pos:]
+    if body.translate(None, _G6_DIGITS):
+        bad = next(i for i, c in enumerate(body) if not 63 <= c <= 126)
+        raise GraphFormatError("invalid byte in graph6 bit vector", pos + bad)
+    pad = 6 * nbytes - nbits
+    if pad and (body[-1] - 63) & ((1 << pad) - 1):
+        raise GraphFormatError("nonzero padding in graph6 bit vector", pos + nbytes - 1)
+    # read backwards, column c of the bit vector is row c of the lower
+    # triangle high bit first, so rows n-1 down to 0, each padded on the
+    # left to `size` digits, spell the bit matrix as one binary numeral
+    backward = "".join(map(_G6_BITS.__getitem__, body))[nbits - 1::-1] if nbits else ""
+    size = max(8, 1 << (n - 1).bit_length())
+    zeros = "0" * size
+    parts = []
+    start = 0
+    for c in range(n - 1, 0, -1):
+        parts += (zeros[c:], backward[start: start + c])
+        start += c
+    lower = int("".join(parts) + zeros, 2)
+    x = lower
+    for shift, mask in _transpose_masks(size):
+        t = (x ^ x >> shift) & mask
+        x ^= t | t << shift
+    width = size // 8
+    packed = (lower | x).to_bytes(size * width, "little")
     g = Graph(n)
-    adj = g.adj
-    # bits run down the columns of the upper triangle: (0,1), (0,2), (1,2), ...
-    row, col = 0, 1
-    for i in range(nbytes):
-        c = data[pos + i] - 63
-        if c < 0 or c > 63:
-            raise GraphFormatError("invalid byte in graph6 bit vector", pos + i)
-        for shift in range(5, -1, -1):
-            if col == n:
-                if c >> shift & 1:
-                    raise GraphFormatError("nonzero padding in graph6 bit vector", pos + i)
-                continue
-            if c >> shift & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            row += 1
-            if row == col:
-                row, col = 0, col + 1
+    g.adj = [int.from_bytes(packed[i: i + width], "little") for i in range(0, n * width, width)]
     return g
 
 

@@ -7,7 +7,15 @@ oracle enumerates subsets, and the path oracle enumerates simple paths.
 from itertools import combinations
 
 from oddbook.bipartite import Biclique, BicliqueSearch
-from oddbook.graph import Graph, GraphFormatError, as_mask, bfs_layers, bits, mask_of
+from oddbook.graph import (
+    Graph,
+    GraphFormatError,
+    as_mask,
+    bfs_layers,
+    bits,
+    mask_of,
+    neighborhood,
+)
 from oddbook.pattern import build_odd_book
 
 
@@ -198,6 +206,42 @@ def find_pages_ref(adj, orders, h1, h2, count, length, banned):
         if rest is not None:
             return [interior] + rest
     return None
+
+
+# The layer bound as it was before its forward sweep was cut by the walk
+# masks of h2: the cut keeps every verdict, so both must agree.
+
+
+def layers_admit_ref(adj, h1, h2, count, length, banned):
+    """Necessary condition for `count` interior-disjoint h1-h2 pages of
+    `length` edges avoiding `banned`.
+
+    Layer i (1 <= i < length) is the set of allowed vertices (not banned,
+    not a hub) at position i of some h1-h2 walk of `length` edges whose
+    interior is allowed: a forward sweep from h1 gives the vertices reachable
+    at position i, and a backward sweep from h2 inside those keeps the ones
+    that can still finish.  The pages are such walks with distinct vertices
+    at every position, so each layer needs `count` vertices.  For count = 2
+    this is Menger's theorem on the layered graph: a single vertex separates
+    its copies of h1 and h2 exactly when some layer holds one vertex.  The
+    pages' interiors are also disjoint sets of length-1 vertices inside the
+    union of the layers, so the union needs count * (length-1) vertices.
+    """
+    allowed = ~(banned | 1 << h1 | 1 << h2)
+    fwd = [1 << h1]
+    for _ in range(length - 1):
+        reach = neighborhood(adj, fwd[-1]) & allowed
+        if reach.bit_count() < count:
+            return False
+        fwd.append(reach)
+    layer = 1 << h2
+    union = 0
+    for i in range(length - 1, 0, -1):
+        layer = neighborhood(adj, layer) & fwd[i]
+        if layer.bit_count() < count:
+            return False
+        union |= layer
+    return union.bit_count() >= count * (length - 1)
 
 
 def find_book_using_edge_ref(g: Graph, x: int, y: int, s: int, k: int):
@@ -422,6 +466,47 @@ def _g6_column_ref(bit_index: int, n: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+# The graph6 encoder as it was before it wrote whole columns and packed
+# them through base64: one bit at a time, six to a byte.
+
+_G6_MAX_ENCODE_REF = 1 << 18
+
+
+def _g6_header_ref(n: int) -> bytes:
+    if n <= 62:
+        return bytes([n + 63])
+    if n <= 258047:
+        return bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    out = [126, 126]
+    for shift in range(30, -1, -6):
+        out.append((n >> shift & 63) + 63)
+    return bytes(out)
+
+
+def encode_graph6_ref(g: Graph) -> str:
+    """Encode to graph6 text (no trailing newline)."""
+    n = g.n
+    if n > _G6_MAX_ENCODE_REF:
+        raise ValueError(f"graph6 encoding capped at n <= {_G6_MAX_ENCODE_REF}")
+    chunks = [_g6_header_ref(n)]
+    acc = 0
+    nbits = 0
+    body = bytearray()
+    for col in range(1, n):
+        row_bits = g.adj[col]
+        for ro in range(col):
+            acc = acc << 1 | (row_bits >> ro & 1)
+            nbits += 1
+            if nbits == 6:
+                body.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        body.append((acc << (6 - nbits)) + 63)
+    chunks.append(bytes(body))
+    return b"".join(chunks).decode("ascii")
 
 
 # The BFS helpers as they were before they shared one frontier generator:

@@ -247,6 +247,17 @@ def test_bad_input_file(tmp_path):
         main(["verify", "-i", missing, "--check", "freeness"])
 
 
+def test_non_utf8_input_file_names_file_and_offset(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"B\xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-i", str(path), "--check", "freeness"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot parse {path}: " in err
+    assert err.rstrip().endswith("(byte offset 1)")
+
+
 def test_reports_deterministic(tmp_path):
     g6 = _write_g6(tmp_path / "c5.g6", cycle_graph(5))
     out1 = tmp_path / "r1.json"

@@ -35,6 +35,7 @@ from .oracles import (
     find_book_using_edge_ref,
     find_pages_ref,
     iter_paths_ref,
+    layers_admit_ref,
     neighbor_orders_ref,
 )
 
@@ -331,7 +332,7 @@ def test_kernel_matches_unpruned_kernel(seed):
                 pages = find_pages_ref(g.adj, ref, h1, h2, s, 2 * k, banned)
                 assert _find_pages(orders, h1, h2, s, 2 * k, banned) == pages
                 if pages is not None:
-                    assert _layers_admit(g.adj, h1, h2, s, 2 * k, banned)
+                    assert _layers_admit(orders, h1, h2, s, 2 * k, banned)
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,23 +349,42 @@ def test_layer_bound_admits_every_copy(seed):
     ]
     assert bool(hubs) == contains_book_naive(g, s, k)
     for u, v in hubs:
-        assert _layers_admit(g.adj, u, v, s, 2 * k, 0)
-        assert _layers_admit(g.adj, v, u, s, 2 * k, 0)
+        assert _layers_admit(_neighbor_orders(g), u, v, s, 2 * k, 0)
+        assert _layers_admit(_neighbor_orders(g), v, u, s, 2 * k, 0)
 
 
 def test_layer_bound_rejects_single_vertex_cut():
     # two 4-edge routes from 0 to 1 that share their middle vertex 4
     g = Graph.from_edges(7, [(0, 2), (2, 4), (4, 5), (5, 1), (0, 3), (3, 4), (4, 6), (6, 1)])
-    assert _layers_admit(g.adj, 0, 1, 1, 4, 0)
-    assert not _layers_admit(g.adj, 0, 1, 2, 4, 0)
+    assert _layers_admit(_neighbor_orders(g), 0, 1, 1, 4, 0)
+    assert not _layers_admit(_neighbor_orders(g), 0, 1, 2, 4, 0)
 
 
 def test_layer_bound_rejects_too_few_vertices():
     # every layer of K6 holds the four non-hubs, but two pages of length 4
     # need six interior vertices
     g = complete_graph(6)
-    assert _layers_admit(g.adj, 0, 1, 1, 4, 0)
-    assert not _layers_admit(g.adj, 0, 1, 2, 4, 0)
+    assert _layers_admit(_neighbor_orders(g), 0, 1, 1, 4, 0)
+    assert not _layers_admit(_neighbor_orders(g), 0, 1, 2, 4, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_layer_bound_matches_uncut_sweep(seed):
+    """Cutting the forward sweep by the walk masks of h2 keeps the verdict
+    of the uncut sweep, for every (s, k) page count and length."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 14)
+    g = random_graph(n, rng.uniform(0.15, 0.9), rng)
+    orders = _neighbor_orders(g)
+    for _ in range(4):
+        h1, h2 = rng.sample(range(n), 2)
+        banned = rng.getrandbits(n) & ~(1 << h1 | 1 << h2) if rng.random() < 0.5 else 0
+        for s in (1, 2, 3):
+            for k in (1, 2, 3):
+                assert _layers_admit(orders, h1, h2, s, 2 * k, banned) == layers_admit_ref(
+                    g.adj, h1, h2, s, 2 * k, banned
+                )
 
 
 def test_incremental_orders_match_fresh(rng):

@@ -33,6 +33,7 @@ from .oracles import (
     connected_components_ref,
     count_edges_between,
     decode_graph6_ref,
+    encode_graph6_ref,
     two_coloring_ref,
 )
 
@@ -214,8 +215,8 @@ def _decode_outcome(decode, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_graph6_decode_matches_reference(seed):
-    """The in-order decoder returns the graph, or the error message and
-    byte offset, of the binary-search reference, on valid encodings with
+    """The decoder returns the graph, or the error message and byte
+    offset, of the binary-search reference, on valid encodings with
     short and 4-byte (n > 62) headers and on corrupted copies of them."""
     rng = random.Random(seed)
     n = rng.choice([rng.randrange(0, 63), rng.randrange(63, 140)])
@@ -232,6 +233,43 @@ def test_graph6_decode_matches_reference(seed):
         corrupted.append(bytes(bad))
     for bad in corrupted:
         assert _decode_outcome(decode_graph6, bad) == _decode_outcome(decode_graph6_ref, bad)
+
+
+G6_BOUNDARY_SIZES = [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 62, 63, 64, 65,
+                     127, 128, 129, 255, 256, 257]
+
+
+@pytest.mark.parametrize("n", G6_BOUNDARY_SIZES)
+def test_graph6_codec_matches_references_at_boundaries(n):
+    """Around the short/long header switch (62/63) and each power-of-two
+    transpose size: the encoder writes the reference's text, and the
+    decoder returns the reference's graph, or its error message and byte
+    offset on the first or every padding bit set, a cut body, a trailing
+    byte and a bad last byte."""
+    rng = random.Random(n)
+    pad = -(n * (n - 1) // 2) % 6
+    for g in (Graph(n), complete_graph(n), random_graph(n, 0.5, rng)):
+        text = encode_graph6(g)
+        assert text == encode_graph6_ref(g)
+        assert decode_graph6(text) == decode_graph6_ref(text) == g
+        data = text.encode()
+        first_pad = bytes([(data[-1] - 63 | 1 << pad >> 1) + 63])
+        bad = [data + b"?", data[:-1] + b"\x7f", data[:-1] + b"~", data[:-1],
+               data[:-1] + first_pad]
+        for corrupt in bad:
+            assert _decode_outcome(decode_graph6, corrupt) == _decode_outcome(
+                decode_graph6_ref, corrupt
+            )
+
+
+def test_graph6_non_ascii_text_rejected_with_offset():
+    for text in ("B\u00e9", " >>graph6<<B\u00e9", "B\ud800"):
+        with pytest.raises(GraphFormatError, match="non-ASCII") as exc:
+            decode_graph6(text)
+        assert exc.value.offset == 1
+    with pytest.raises(GraphFormatError) as exc:
+        decode_graph6(b"B\xe9")
+    assert exc.value.offset == 1
 
 
 def test_graph6_huge_header_with_short_body_fails_at_once():

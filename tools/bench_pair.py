@@ -1,0 +1,127 @@
+"""Run bench/run.py on two checkouts in alternating pairs and summarise.
+
+    python3 tools/bench_pair.py --parent ../parent --change . \
+        --workload verify-free --workload core-extract \
+        --seeds 101-110 --seconds 30 --out BENCH_7.json
+
+For each workload and each seed in the range, one untraced run of
+``bench/run.py --workload W --seed S --seconds T --trace 0`` is made in each
+checkout, the parent first on even pairs and the change first on odd ones,
+so that a drift of the host's speed falls on both sides alike.  Each side
+then makes one traced run at the golden seed with ``--seconds 0``, for the
+per-layer metrics.  The output file holds every run (its result line with
+the machine and details that bench/run.py records) and, per workload, the
+q1 / median / q3 of each end-to-end metric on each side and ``change_wins``:
+the number of pairs in which the change was better, ties counting for
+neither side.  Directions come from the change's BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    lo, hi = int(first), int(last or first)
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return list(range(lo, hi + 1))
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One bench/run.py run in `checkout`; its recorded result file."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pair: {' '.join(argv[1:])} in {checkout} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+    result = checkout / "bench" / "out" / f"result-{workload}-s{seed}-t{trace}.json"
+    return json.loads(result.read_text())
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarise(runs: list[dict], seeds: list[int], better: dict[str, str]) -> dict:
+    """Per end-to-end metric: both sides' quartiles and the change's wins."""
+    by_seed = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs if r["trace"] == 0}
+    out = {"pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
+           "all_correct": all(r["result"]["correct"] for r in runs)}
+    for name, direction in better.items():
+        pairs = [(by_seed["parent", s][name]["value"], by_seed["change", s][name]["value"])
+                 for s in seeds]
+        wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
+        out[name] = {"parent": quartiles([p for p, _ in pairs]),
+                     "change": quartiles([c for _, c in pairs]),
+                     "change_wins": wins}
+    return out
+
+
+def dump(doc: dict) -> str:
+    """JSON with the summary indented and one run per line."""
+    head = json.dumps({k: v for k, v in doc.items() if k != "runs"}, indent=1)
+    runs = ",\n".join(f"  {json.dumps(run)}" for run in doc["runs"])
+    return f'{head[:-2]},\n "runs": [\n{runs}\n ]\n}}\n'
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="changed checkout")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload name; repeat for several")
+    parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to write")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs, summary = [], {}
+    for workload in args.workload:
+        ran = []
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                rec = run_bench(sides[side], workload, seed, args.seconds, 0)
+                ran.append({"side": side, "workload": workload, "seed": seed, "trace": 0,
+                            **rec})
+                wall = rec["result"]["metrics"]["wall_s"]["value"]
+                print(f"{workload} seed {seed} {side}: wall_s {wall:.4f}", flush=True)
+        for side in ("parent", "change"):
+            rec = run_bench(sides[side], workload, 0, 0, 1)
+            ran.append({"side": side, "workload": workload, "seed": 0, "trace": 1, **rec})
+        summary[workload] = summarise(ran, args.seeds, better)
+        runs.extend(ran)
+    doc = {
+        "description": ("bench/run.py runs of the parent and the changed checkout, "
+                        f"{args.seconds:g} s per untraced run, parent/change order alternated "
+                        "per seed; one traced run per side at seed 0 with --seconds 0."),
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "summary": summary,
+        "runs": runs,
+    }
+    args.out.write_text(dump(doc))
+    for workload, rows in summary.items():
+        for name in better:
+            row = rows[name]
+            print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
+                  f"change {row['change']['median']:.4g} "
+                  f"(change better in {row['change_wins']}/{rows['pairs']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
