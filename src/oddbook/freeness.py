@@ -11,9 +11,9 @@ or page-interior.  All searches are exhaustive and deterministic
 
 The path kernel `_iter_paths` is one depth-first loop with an explicit
 stack, so a search of any length runs in one generator frame.  It prunes
-with two necessary conditions, walk masks in `_iter_paths` and a layered
-cut bound in `_find_pages`; each cuts only branches that cannot succeed, so
-verdicts and first witnesses are the same as those of the unpruned search.
+with necessary conditions, walk masks in `_iter_paths` and end-layer and
+layered cut bounds in `_find_pages`; each cuts only branches that cannot
+succeed, so verdicts and first witnesses are those of the unpruned search.
 The search state `_Orders` (sorted rows, degrees, walk masks) is built once
 per graph and, in `saturate`, updated in place as edges are added.
 """
@@ -302,19 +302,32 @@ def _layers_admit(orders, h1, h2, count, length, banned):
 
 
 def _find_pages(orders, h1, h2, count, length, banned):
-    """`count` internally disjoint h1-h2 paths of exact `length` edges with
-    interiors avoiding `banned`; list of interior tuples, or None.
+    """`count` internally disjoint h1-h2 paths of exact `length` >= 2 edges
+    with interiors avoiding `banned`; list of interior tuples, or None.
 
-    When count >= 2 and the first candidate page cannot be completed, the
-    layer bound of `_layers_admit` decides whether the other candidates are
-    worth trying; it is checked that late so that hits pay nothing for it.
+    For count >= 2, necessary conditions refute a search at its ends before
+    any page is built.  A page's first interior vertex is an allowed
+    neighbor of h1 with a walk of length-1 edges to h2, so it lies in
+    E1 = N(h1) & allowed & W_{length-1}(h2); its last lies in
+    E2 = N(h2) & allowed & W_{length-1}(h1).  Interiors are disjoint, so
+    each end needs `count` vertices.  When an end has exactly `count`,
+    every page set uses all of it, and the layer bound of `_layers_admit`
+    runs at once; otherwise only once the first candidate page fails to
+    complete, so that hits on wide ends pay nothing for it.  Each check
+    returns None only where the search would fail, so first pages stay.
     """
     if count == 0:
         return []
     if count == 1:
         first = next(_iter_paths(orders, h1, h2, length, banned), None)
         return None if first is None else [first]
-    bounded = False
+    adj, end = orders.adj, length - 1
+    allowed = ~(banned | 1 << h1 | 1 << h2)
+    thin = min((adj[h1] & allowed & orders.walks(h2, end)[end]).bit_count(),
+               (adj[h2] & allowed & orders.walks(h1, end)[end]).bit_count())
+    bounded = thin == count
+    if thin < count or bounded and not _layers_admit(orders, h1, h2, count, length, banned):
+        return None
     for interior in _iter_paths(orders, h1, h2, length, banned):
         rest = _find_pages(
             orders, h1, h2, count - 1, length, banned | mask_of(interior)

@@ -397,57 +397,57 @@ def decode_graph6(text: str | bytes) -> Graph:
     The bit vector lists the upper triangle column by column, which is the
     lower triangle row by row.  Those rows, each padded to a power-of-two
     width, form one big-int bit matrix; OR-ing in its transpose gives the
-    adjacency rows."""
-    if isinstance(text, str):
-        data = text.strip().encode("utf-8", "surrogatepass")
-    else:
-        data = bytes(text).strip()
+    adjacency rows.  Error offsets count from the first byte of the input as
+    given (the first character, for str input)."""
+    raw = text if isinstance(text, str) else bytes(text)
+    data = raw.strip()
+    lead = len(raw) - len(raw.lstrip())
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
+        lead += len(b">>graph6<<")
+
+    def error(message: str, at: int) -> GraphFormatError:
+        return GraphFormatError(message, lead + at)
+
     if isinstance(text, str) and not data.isascii():
         # every character before the first non-ASCII one is one byte
         bad = next(i for i, c in enumerate(data) if c > 127)
-        raise GraphFormatError("non-ASCII character in graph6 input", bad)
+        raise error("non-ASCII character in graph6 input", bad)
     if not data:
-        raise GraphFormatError("empty graph6 input", 0)
-    pos = 0
+        raise error("empty graph6 input", 0)
     if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise GraphFormatError("truncated graph6 size header", len(data))
-            vals = [data[i] - 63 for i in range(2, 8)]
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise GraphFormatError("truncated graph6 size header", len(data))
-            vals = [data[i] - 63 for i in range(1, 4)]
-            pos = 4
-        if any(v < 0 or v > 63 for v in vals):
-            raise GraphFormatError("invalid byte in graph6 size header", pos - 1)
+        digits = range(2, 8) if data[1:2] == b"~" else range(1, 4)
+        pos = digits.stop
+        if len(data) < pos:
+            raise error("truncated graph6 size header", len(data))
         n = 0
-        for v in vals:
-            n = n << 6 | v
+        for i in digits:
+            if not 63 <= data[i] <= 126:
+                raise error("invalid byte in graph6 size header", i)
+            n = n << 6 | data[i] - 63
     else:
         n = data[0] - 63
         if n < 0 or n > 62:
-            raise GraphFormatError("invalid graph6 size byte", 0)
+            raise error("invalid graph6 size byte", 0)
         pos = 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
-        raise GraphFormatError(
+        raise error(
             f"truncated graph6 bit vector: need {nbytes} bytes, have {len(data) - pos}",
             len(data),
         )
     if len(data) - pos > nbytes:
-        raise GraphFormatError("trailing bytes after graph6 bit vector", pos + nbytes)
+        raise error("trailing bytes after graph6 bit vector", pos + nbytes)
     body = data[pos:]
     if body.translate(None, _G6_DIGITS):
         bad = next(i for i, c in enumerate(body) if not 63 <= c <= 126)
-        raise GraphFormatError("invalid byte in graph6 bit vector", pos + bad)
+        raise error("invalid byte in graph6 bit vector", pos + bad)
     pad = 6 * nbytes - nbits
     if pad and (body[-1] - 63) & ((1 << pad) - 1):
-        raise GraphFormatError("nonzero padding in graph6 bit vector", pos + nbytes - 1)
+        raise error("nonzero padding in graph6 bit vector", pos + nbytes - 1)
     # read backwards, column c of the bit vector is row c of the lower
     # triangle high bit first, so rows n-1 down to 0, each padded on the
     # left to `size` digits, spell the bit matrix as one binary numeral

@@ -398,55 +398,60 @@ def max_induced_complete_bipartite_ref(g: Graph, budget: int = 10 ** 7) -> Bicli
 
 
 def decode_graph6_ref(text: str | bytes) -> Graph:
-    if isinstance(text, str):
-        data = text.strip().encode("ascii")
-    else:
-        data = bytes(text).strip()
+    # offsets count from the first byte of the input as given
+    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    data = raw.lstrip()
+    skip = len(raw) - len(data)
+    data = data.rstrip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
+        skip += len(b">>graph6<<")
     if not data:
-        raise GraphFormatError("empty graph6 input", 0)
+        raise GraphFormatError("empty graph6 input", skip)
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             if len(data) < 8:
-                raise GraphFormatError("truncated graph6 size header", len(data))
+                raise GraphFormatError("truncated graph6 size header", skip + len(data))
             vals = [data[i] - 63 for i in range(2, 8)]
             pos = 8
         else:
             if len(data) < 4:
-                raise GraphFormatError("truncated graph6 size header", len(data))
+                raise GraphFormatError("truncated graph6 size header", skip + len(data))
             vals = [data[i] - 63 for i in range(1, 4)]
             pos = 4
-        if any(v < 0 or v > 63 for v in vals):
-            raise GraphFormatError("invalid byte in graph6 size header", pos - 1)
+        for i, v in enumerate(vals):
+            if v < 0 or v > 63:
+                raise GraphFormatError(
+                    "invalid byte in graph6 size header", skip + pos - len(vals) + i
+                )
         n = 0
         for v in vals:
             n = n << 6 | v
     else:
         n = data[0] - 63
         if n < 0 or n > 62:
-            raise GraphFormatError("invalid graph6 size byte", 0)
+            raise GraphFormatError("invalid graph6 size byte", skip)
         pos = 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
         raise GraphFormatError(
             f"truncated graph6 bit vector: need {nbytes} bytes, have {len(data) - pos}",
-            len(data),
+            skip + len(data),
         )
     if len(data) - pos > nbytes:
-        raise GraphFormatError("trailing bytes after graph6 bit vector", pos + nbytes)
+        raise GraphFormatError("trailing bytes after graph6 bit vector", skip + pos + nbytes)
     g = Graph(n)
     bit = 0
     for i in range(nbytes):
         c = data[pos + i] - 63
         if c < 0 or c > 63:
-            raise GraphFormatError("invalid byte in graph6 bit vector", pos + i)
+            raise GraphFormatError("invalid byte in graph6 bit vector", skip + pos + i)
         for shift in range(5, -1, -1):
             if bit >= nbits:
                 if c >> shift & 1:
-                    raise GraphFormatError("nonzero padding in graph6 bit vector", pos + i)
+                    raise GraphFormatError("nonzero padding in graph6 bit vector", skip + pos + i)
                 continue
             if c >> shift & 1:
                 col = _g6_column_ref(bit, n)

@@ -217,10 +217,12 @@ def _decode_outcome(decode, data):
 def test_graph6_decode_matches_reference(seed):
     """The decoder returns the graph, or the error message and byte
     offset, of the binary-search reference, on valid encodings with
-    short and 4-byte (n > 62) headers and on corrupted copies of them."""
+    short and 4-byte (n > 62) headers, with or without leading whitespace
+    and the '>>graph6<<' prefix, and on corrupted copies of them."""
     rng = random.Random(seed)
     n = rng.choice([rng.randrange(0, 63), rng.randrange(63, 140)])
-    data = bytearray(encode_graph6(random_graph(n, rng.random(), rng)).encode())
+    lead = rng.choice([b"", b" ", b">>graph6<<", b" \n>>graph6<<"])
+    data = bytearray(lead + encode_graph6(random_graph(n, rng.random(), rng)).encode())
     assert decode_graph6(bytes(data)) == decode_graph6_ref(bytes(data))
     # an all-ones last byte sets every padding bit
     corrupted = [bytes(data[:-1]) + b"~"]
@@ -263,13 +265,28 @@ def test_graph6_codec_matches_references_at_boundaries(n):
 
 
 def test_graph6_non_ascii_text_rejected_with_offset():
-    for text in ("B\u00e9", " >>graph6<<B\u00e9", "B\ud800"):
+    for text, offset in (("B\u00e9", 1), (" >>graph6<<B\u00e9", 12), ("B\ud800", 1)):
         with pytest.raises(GraphFormatError, match="non-ASCII") as exc:
             decode_graph6(text)
-        assert exc.value.offset == 1
+        assert exc.value.offset == offset
     with pytest.raises(GraphFormatError) as exc:
         decode_graph6(b"B\xe9")
     assert exc.value.offset == 1
+
+
+@pytest.mark.parametrize("data, message, offset", [
+    (b"  >>graph6<<B\x1f", "invalid byte in graph6 bit vector", 13),
+    (b"~~ ??????", "invalid byte in graph6 size header", 2),
+    (b"~?\x7f?", "invalid byte in graph6 size header", 2),
+    (b" \t>>graph6<<?B", "trailing bytes after graph6 bit vector", 13),
+])
+def test_graph6_error_offset_names_the_byte_as_given(data, message, offset):
+    """Offsets count from the first byte of the input, past any leading
+    whitespace and prefix, and a bad size header names its bad byte."""
+    for decode in (decode_graph6, decode_graph6_ref):
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            decode(data)
+        assert exc.value.offset == offset
 
 
 def test_graph6_huge_header_with_short_body_fails_at_once():
