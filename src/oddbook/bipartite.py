@@ -337,19 +337,20 @@ def build_uvt_partition(
     exceptional vertex has, toward each side, either no neighbor or more
     than h of them.
 
-    The initial split: a plain 2-coloring when the graph is bipartite;
-    otherwise a greedy odd-cycle transversal becomes the exceptional
-    candidate set and the bipartite remainder is 2-colored.  When that
-    transversal exceeds n/3 the graph is nowhere near bipartite and a
-    seeded local-search max cut is used instead, with overloaded vertices
-    (more than h same-side neighbors) moved to the exceptional set.
-    Callers may also supply `initial` explicitly.
+    The initial split: a greedy odd-cycle transversal becomes the
+    exceptional candidate set and the bipartite remainder is 2-colored; on
+    a bipartite graph the transversal is empty and this is the plain
+    2-coloring.  When the transversal exceeds n/3 the graph is nowhere near
+    bipartite and a seeded local-search max cut is used instead, with
+    overloaded vertices (more than h same-side neighbors) moved to the
+    exceptional set.  Callers may also supply `initial` explicitly.
 
     Then greedily: while an exceptional vertex has between 1 and h
     neighbors in a side, that whole neighborhood moves to the exceptional
     set.  Each move shrinks the sides, so this terminates.  Side
     independence is reported, not assumed.
     """
+    used_seed = None
     if initial is not None:
         left, right, exceptional = initial
         if (left | right | exceptional) != g.vertex_mask or (
@@ -357,55 +358,45 @@ def build_uvt_partition(
         ):
             raise ValueError("initial sides must partition the vertex set")
         method = "explicit"
-        used_seed = None
     else:
-        coloring = two_coloring(g)
-        exceptional = 0
-        used_seed = None
-        if coloring is not None:
-            left, right = coloring
-            method = "two-coloring"
+        exceptional = greedy_odd_cycle_transversal(g)
+        if 3 * exceptional.bit_count() <= g.n:
+            left, right = two_coloring(g, within=g.vertex_mask & ~exceptional)
+            method = "transversal" if exceptional else "two-coloring"
         else:
-            transversal = greedy_odd_cycle_transversal(g)
-            if 3 * transversal.bit_count() <= g.n:
-                exceptional = transversal
-                left, right = two_coloring(g, within=g.vertex_mask & ~transversal)
-                method = "transversal"
-            else:
-                side0, side1 = max_cut_bipartition(g, seed=seed)
-                for v in range(g.n):
-                    own = side0 if side0 >> v & 1 else side1
-                    if (g.adj[v] & own).bit_count() >= h + 1:
-                        exceptional |= 1 << v
-                left = side0 & ~exceptional
-                right = side1 & ~exceptional
-                method = "max-cut"
-                used_seed = seed
+            side0, side1 = max_cut_bipartition(g, seed=seed)
+            exceptional = 0
+            for v in range(g.n):
+                own = side0 if side0 >> v & 1 else side1
+                if (g.adj[v] & own).bit_count() >= h + 1:
+                    exceptional |= 1 << v
+            left = side0 & ~exceptional
+            right = side1 & ~exceptional
+            method = "max-cut"
+            used_seed = seed
 
     trace = PartitionTrace(method=method, seed=used_seed, initial_exceptional=exceptional)
 
+    sides = [left, right]
     progress = True
     while progress:
         progress = False
-        for side_name in ("left", "right"):
+        for i, side_name in enumerate(("left", "right")):
             while True:
-                side = left if side_name == "left" else right
                 trigger = None
                 for x in bits(exceptional):
-                    d = (g.adj[x] & side).bit_count()
+                    d = (g.adj[x] & sides[i]).bit_count()
                     if 1 <= d <= h:
                         trigger = x
                         break
                 if trigger is None:
                     break
-                moved = g.adj[trigger] & side
-                if side_name == "left":
-                    left &= ~moved
-                else:
-                    right &= ~moved
+                moved = g.adj[trigger] & sides[i]
+                sides[i] &= ~moved
                 exceptional |= moved
                 trace.moves.append((side_name, trigger, moved))
                 progress = True
+    left, right = sides
 
     part = CorePartition(left=left, right=right, exceptional=exceptional, h=h)
     trace.left_independent = is_independent(g, left)

@@ -21,12 +21,14 @@ from .bipartite import (
     validate_biclique,
 )
 from .construction import (
-    LayoutInfeasibleError,
     BlockLayout,
+    ConstructionResult,
+    LayoutInfeasibleError,
     build_min_member,
     certify_structure,
     edge_bound_check,
     plan_layout,
+    specified_edge_count,
 )
 from .freeness import (
     NotBookFreeError,
@@ -229,8 +231,6 @@ def cmd_verify(args) -> int:
             layout = BlockLayout.from_json(
                 json.loads(Path(args.layout).read_text())
             )
-            from .construction import ConstructionResult, specified_edge_count
-
             result = ConstructionResult(
                 graph=g, layout=layout,
                 specified_edge_count=specified_edge_count(layout),
@@ -255,26 +255,30 @@ def cmd_stability(args) -> int:
     report = new_report("stability", params, seed=args.seed)
     h = book_order(args.s, args.k)
     report["counts"] = {"n": g.n, "edges": g.num_edges(), "h": h}
+    outdir = _outdir(args)
 
+    problem = None  # (stderr message, input-maximal check details)
     try:
         with Timer(report, "maximality-precheck"):
             maximal, failing = is_maximal_book_free(
                 g, args.s, args.k, workers=args.workers
             )
+        if not maximal:
+            problem = (
+                f"input is not maximal: {len(failing)} addable non-edges, "
+                f"first {failing[0]}",
+                {"failing_non_edges": failing[:50]},
+            )
     except NotBookFreeError as exc:
-        add_check(report, "input-maximal", False,
-                  error="input contains the pattern",
-                  witness=exc.witness.to_json())
-        _emit(report, args.out and str(_outdir(args) / "stability.report.json"))
-        print(f"input is not pattern-free: witness at hub edge "
-              f"{exc.witness.hub_edge}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if not maximal:
-        add_check(report, "input-maximal", False,
-                  failing_non_edges=failing[:50])
-        _emit(report, args.out and str(_outdir(args) / "stability.report.json"))
-        print(f"input is not maximal: {len(failing)} addable non-edges, "
-              f"first {failing[0]}", file=sys.stderr)
+        problem = (
+            f"input is not pattern-free: witness at hub edge {exc.witness.hub_edge}",
+            {"error": "input contains the pattern", "witness": exc.witness.to_json()},
+        )
+    if problem:
+        message, details = problem
+        add_check(report, "input-maximal", False, **details)
+        _emit(report, str(outdir / "stability.report.json"))
+        print(message, file=sys.stderr)
         return EXIT_CHECK_FAILED
     add_check(report, "input-maximal", True)
 
@@ -294,7 +298,6 @@ def cmd_stability(args) -> int:
     })
     report["bound_report"] = bound_report(trace, g.n, args.s, args.k, args.alpha)
 
-    outdir = _outdir(args)
     write_json(outdir / "stability.partition.json", part.to_json())
     write_json(outdir / "stability.trace.json", trace.to_json())
     write_json(outdir / "stability.core.json", core.to_json())

@@ -107,45 +107,10 @@ def chromatic_number(g: Graph) -> int:
         return 1
     if two_coloring(g) is not None:
         return 2
-    lower = max(3, _greedy_clique(g))
-    upper, greedy_colors = _greedy_coloring(g)
-    if lower == upper:
-        return lower
-    for target in range(lower, upper):
-        if _colorable(g, target):
-            return target
-    return upper
-
-
-def _greedy_clique(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best = 0
-    for start in order[: min(g.n, 8)]:
-        clique = 1 << start
-        common = g.adj[start]
-        while common:
-            v = max(bits(common), key=lambda w: ((g.adj[w] & common).bit_count(), -w))
-            clique |= 1 << v
-            common &= g.adj[v]
-        best = max(best, clique.bit_count())
-    return best
-
-
-def _greedy_coloring(g: Graph) -> tuple[int, list[int]]:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color = [-1] * g.n
-    used = 0
-    for v in order:
-        taken = 0
-        for w in bits(g.adj[v]):
-            if color[w] >= 0:
-                taken |= 1 << color[w]
-        c = 0
-        while taken >> c & 1:
-            c += 1
-        color[v] = c
-        used = max(used, c + 1)
-    return used, color
+    colors = 3
+    while not _colorable(g, colors):
+        colors += 1
+    return colors
 
 
 def _colorable(g: Graph, ncolors: int) -> bool:

@@ -176,74 +176,54 @@ def deletion_pipeline(
     The smaller candidate set is deleted, ties favoring the left side.
     """
     trace = DeletionTrace(initial_left=part.left, initial_right=part.right)
-    left = part.left
-    right = part.right
+    sides = [part.left, part.right]
     orders = _neighbor_orders(g)
 
     # rough inputs can leave intra-side edges; delete greedily so the final
     # core is genuinely induced-complete-bipartite
-    for side_name in ("left", "right"):
-        while True:
-            side = left if side_name == "left" else right
-            hit = first_edge_within(g, side)
-            if hit is None:
-                break
+    for i in range(2):
+        while (hit := first_edge_within(g, sides[i])) is not None:
             u, v = hit
-            du = (g.adj[u] & side).bit_count()
-            dv = (g.adj[v] & side).bit_count()
+            du = (g.adj[u] & sides[i]).bit_count()
+            dv = (g.adj[v] & sides[i]).bit_count()
             drop = u if du >= dv else v
-            if side_name == "left":
-                left &= ~(1 << drop)
-            else:
-                right &= ~(1 << drop)
+            sides[i] &= ~(1 << drop)
             trace.steps.append(
                 DeletionStep(kind="intra-side-edge", probe=(u, v), deleted=(drop,))
             )
 
-    while True:
-        hit = _first_cross_non_edge(g, left, right)
-        if hit is None:
-            break
+    while (hit := _first_cross_non_edge(g, *sides)) is not None:
         x, y = hit
         info = classify_non_edge(g, part, x, y, s, k, _orders=orders)
-        if info.anchors_left:
-            cand_left = left
-            for z in info.anchors_left:
-                cand_left &= g.adj[z]
-        else:
-            cand_left = 1 << x
-        if info.anchors_right:
-            cand_right = right
-            for z in info.anchors_right:
-                cand_right &= g.adj[z]
-        else:
-            cand_right = 1 << y
-        nl = cand_left.bit_count()
-        nr = cand_right.bit_count()
-        if nl == 0 and nr == 0:
+        cands = []
+        for side, anchors, endpoint in zip(
+            sides, (info.anchors_left, info.anchors_right), hit
+        ):
+            cand = side if anchors else 1 << endpoint
+            for z in anchors:
+                cand &= g.adj[z]
+            cands.append(cand)
+        sizes = (cands[0].bit_count(), cands[1].bit_count())
+        if sizes == (0, 0):
             raise RuntimeError(
                 f"internal inconsistency: empty candidate sets at probe ({x}, {y})"
             )
-        if nl <= nr:
-            deleted = cand_left
-            left &= ~deleted
-        else:
-            deleted = cand_right
-            right &= ~deleted
+        i = 0 if sizes[0] <= sizes[1] else 1
+        sides[i] &= ~cands[i]
         trace.steps.append(
             DeletionStep(
                 kind="cross-non-edge",
-                probe=(x, y),
-                deleted=tuple(bits(deleted)),
+                probe=hit,
+                deleted=tuple(bits(cands[i])),
                 cls=info.cls,
                 anchors_left=info.anchors_left,
                 anchors_right=info.anchors_right,
-                candidate_sizes=(nl, nr),
+                candidate_sizes=sizes,
                 anchored_both=info.anchored_both,
             )
         )
 
-    return Biclique(left=left, right=right), trace
+    return Biclique(left=sides[0], right=sides[1]), trace
 
 
 def bound_report(

@@ -4,7 +4,7 @@ embedding enumerator walks pattern vertices generically, the biclique
 oracle enumerates subsets, and the path oracle enumerates simple paths.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from oddbook.bipartite import Biclique, BicliqueSearch
 from oddbook.graph import (
@@ -512,6 +512,18 @@ def encode_graph6_ref(g: Graph) -> str:
         body.append((acc << (6 - nbits)) + 63)
     chunks.append(bytes(body))
     return b"".join(chunks).decode("ascii")
+
+
+def chromatic_number_brute(g: Graph) -> int:
+    """Fewest colors of a proper coloring, by trying every assignment of
+    range(c) to the vertices for c = 0, 1, ...; for n <= 8 only."""
+    assert g.n <= 8, "brute-force coloring is for tiny graphs"
+    edges = list(g.edges())
+    for c in range(g.n + 1):
+        for color in product(range(c), repeat=g.n):
+            if all(color[u] != color[v] for u, v in edges):
+                return c
+    raise AssertionError("n colors always suffice")
 
 
 # The BFS helpers as they were before they shared one frontier generator:

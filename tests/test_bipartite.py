@@ -33,6 +33,7 @@ from .oracles import (
     longest_path_brute,
     max_biclique_brute,
     max_induced_complete_bipartite_ref,
+    two_coloring_ref,
 )
 
 
@@ -172,6 +173,27 @@ def test_partition_complete_bipartite_trivial():
     assert part.exceptional == 0
     assert part.left.bit_count() == 8 and part.right.bit_count() == 8
     assert trace.left_independent and trace.right_independent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=20),
+    st.floats(0.0, 1.0),
+    st.integers(0, 10 ** 9),
+    st.integers(1, 8),
+)
+def test_partition_of_bipartite_host_is_its_two_coloring(sides, p, seed, h):
+    # hosts with cross edges only, so any vertex may be isolated
+    rng = random.Random(seed)
+    g = Graph(len(sides))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if sides[u] != sides[v] and rng.random() < p:
+                g.add_edge(u, v)
+    part, trace = build_uvt_partition(g, h)
+    assert (part.left, part.right) == two_coloring_ref(g)
+    assert part.exceptional == 0
+    assert trace.method == "two-coloring" and trace.moves == []
 
 
 def test_partition_pendant_attachment_migrates():

@@ -6,6 +6,7 @@ import pytest
 from oddbook.cli import build_parser, main
 from oddbook.construction import BlockLayout
 from oddbook.graph import Graph, complete_bipartite, cycle_graph, decode_graph6, encode_graph6
+from oddbook.pattern import build_odd_book
 
 
 def _write_g6(path, g):
@@ -223,12 +224,24 @@ def test_stability_rejects_non_maximal(tmp_path, capsys):
 
 
 def test_stability_rejects_non_free(tmp_path, capsys):
-    from oddbook.pattern import build_odd_book
-
     g6 = _write_g6(tmp_path / "book.g6", build_odd_book(2, 2).graph)
     rc = main(["stability", "-i", g6, "-s", "2", "-k", "2", "-o", str(tmp_path)])
     assert rc == 1
     assert "not pattern-free" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(7), build_odd_book(2, 2).graph], ids=["not-maximal", "holds-pattern"]
+)
+def test_stability_failure_report_goes_to_default_outdir(tmp_path, monkeypatch, capsys, g):
+    monkeypatch.chdir(tmp_path)
+    g6 = _write_g6(tmp_path / "input.g6", g)
+    rc = main(["stability", "-i", g6, "-s", "2", "-k", "2"])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    report = json.loads((tmp_path / "stability.report.json").read_text())
+    [check] = report["checks"]
+    assert check["name"] == "input-maximal" and not check["pass"]
 
 
 def test_max_bipartite_command(tmp_path):

@@ -1,6 +1,13 @@
 import pytest
 
-from oddbook.graph import complete_bipartite, cycle_graph, two_coloring
+from oddbook.graph import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    random_graph,
+    two_coloring,
+)
 from oddbook.pattern import (
     book_order,
     book_size,
@@ -10,7 +17,7 @@ from oddbook.pattern import (
     odd_book_issues,
 )
 
-from .oracles import bfs_distances
+from .oracles import bfs_distances, chromatic_number_brute
 
 
 def test_single_page_is_odd_cycle():
@@ -81,9 +88,26 @@ def test_chromatic_examples():
     assert chromatic_number(build_odd_book(2, 2).graph) == 3
 
 
-def test_chromatic_size_cap():
-    from oddbook.graph import Graph
+def _odd_wheel(rim: int) -> Graph:
+    g = cycle_graph(rim)
+    wheel = Graph.from_edges(rim + 1, list(g.edges()))
+    for v in range(rim):
+        wheel.add_edge(rim, v)
+    return wheel
 
+
+def test_chromatic_matches_brute_force(rng):
+    named = [complete_graph(4), complete_graph(5), _odd_wheel(5)]
+    assert [chromatic_number(g) for g in named] == [4, 5, 4]
+    graphs = named + [
+        random_graph(rng.randrange(0, 9), rng.uniform(0.2, 0.7), rng)
+        for _ in range(60)
+    ]
+    for g in graphs:
+        assert chromatic_number(g) == chromatic_number_brute(g), list(g.edges())
+
+
+def test_chromatic_size_cap():
     with pytest.raises(ValueError):
         chromatic_number(Graph(33))
 
