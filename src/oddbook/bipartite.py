@@ -94,8 +94,23 @@ def greedy_biclique(g: Graph) -> Biclique:
     |cand_l| - 1 - d when it joins the left; ties go to the smallest u.  A
     start stops once its size plus its candidates cannot beat the incumbent,
     which is replaced only by a strictly larger biclique.
+
+    Two skips keep every pick.  False twins have the same row, so they sit
+    in the same candidate set with the same score, and a candidate whose
+    smaller twin is still a candidate is not scored.  The picks from a state
+    depend only on the unordered pair {cand_l, cand_r}: swapping the two
+    sets swaps keep_l and keep_r and negates d, so every score stays.  A
+    start that reaches a pair already visited at a size at least its own
+    therefore ends no larger than that visit, which ended at or below the
+    incumbent, because size + |cand| never grows along a start; it stops.
     """
     adj = g.adj
+    below = [0] * g.n  # the smaller false twins of each vertex
+    for group in _twin_classes(g):
+        twins = 0
+        for v in group:
+            below[v], twins = twins, twins | 1 << v
+    seen: dict[tuple[int, int], int] = {}  # candidate pair -> largest size
     best = Biclique(0, 0)
     best_size = 0
     for v0 in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
@@ -109,10 +124,16 @@ def greedy_biclique(g: Graph) -> Biclique:
             if not cand:
                 best, best_size = Biclique(left, right), size
                 break
+            pair = (cand_l, cand_r) if cand_l < cand_r else (cand_r, cand_l)
+            if seen.get(pair, 0) >= size:
+                break
+            seen[pair] = size
             keep_l = cand_l.bit_count() - 1
             keep_r = cand_r.bit_count() - 1
             top = -1
             for u in bits(cand):
+                if cand & below[u]:
+                    continue
                 row = adj[u]
                 d = (cand_l & row).bit_count() - (cand_r & row).bit_count()
                 score = keep_r + d if cand_r >> u & 1 else keep_l - d
@@ -156,11 +177,12 @@ def max_induced_complete_bipartite(
     consistent with a side.  Each node branches on the heaviest open class,
     ties to the class with the smallest first vertex: the classes are
     relabeled once in that canonical order, so the branching class is the
-    lowest set bit.  Weights are kept as bit planes, planes[b] holding the
-    classes whose weight has bit b set, so the weight of a class set is one
-    popcount per plane; the committed weight rides on the stack.  The node
-    count is part of the output: these choices change the cost of a node,
-    never which nodes are visited.  When the node budget runs out the
+    lowest set bit.  Every weight is at least 1, so the weight of a class
+    set is its popcount plus one popcount per bit plane of weight - 1,
+    planes[b] holding the classes whose weight - 1 has bit b set; the
+    committed weight rides on the stack.  The node count is part of the
+    output: these choices change the cost of a node, never which nodes are
+    visited.  When the node budget runs out the
     incumbent is returned with optimal=False and upper_bound covering every
     open node.
     """
@@ -178,12 +200,12 @@ def max_induced_complete_bipartite(
             label[v] = i
     qadj = [mask_of(label[w] for w in bits(g.adj[c[0]])) for c in classes]
     planes = [
-        (b, mask_of(i for i in range(m) if weight[i] >> b & 1))
-        for b in range(weight[0].bit_length())
+        (b, mask_of(i for i in range(m) if weight[i] - 1 >> b & 1))
+        for b in range((weight[0] - 1).bit_length())
     ]
 
     def wsum(mask: int) -> int:
-        total = 0
+        total = mask.bit_count()
         for b, plane in planes:
             total += (mask & plane).bit_count() << b
         return total

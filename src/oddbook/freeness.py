@@ -11,9 +11,10 @@ or page-interior.  All searches are exhaustive and deterministic
 
 The path kernel `_iter_paths` is one depth-first loop with an explicit
 stack, so a search of any length runs in one generator frame.  It prunes
-with necessary conditions, walk masks in `_iter_paths` and end-layer and
-layered cut bounds in `_find_pages`; each cuts only branches that cannot
-succeed, so verdicts and first witnesses are those of the unpruned search.
+with necessary conditions, walk masks in `_iter_paths` and, in
+`_find_pages`, end-layer and layered cut bounds and a cut at a vertex that
+every page must use; each cuts only branches that cannot succeed, so
+verdicts and first witnesses are those of the unpruned search.
 The search state `_Orders` (sorted rows, degrees, walk masks) is built once
 per graph and, in `saturate`, updated in place as edges are added.
 """
@@ -313,8 +314,14 @@ def _find_pages(orders, h1, h2, count, length, banned):
     each end needs `count` vertices.  When an end has exactly `count`,
     every page set uses all of it, and the layer bound of `_layers_admit`
     runs at once; otherwise only once the first candidate page fails to
-    complete, so that hits on wide ends pay nothing for it.  Each check
-    returns None only where the search would fail, so first pages stay.
+    complete, so that hits on wide ends pay nothing for it.
+
+    At that same point the common-vertex cut runs once: if some interior
+    vertex z of the first page lies on every page (no page avoids
+    banned | z), at most one page of a disjoint set can hold z, so two
+    cannot exist.  The layer bound misses such a z when it sits at
+    different positions on different pages.  Each check returns None only
+    where the search would fail, so first pages stay.
     """
     if count == 0:
         return []
@@ -328,16 +335,20 @@ def _find_pages(orders, h1, h2, count, length, banned):
     bounded = thin == count
     if thin < count or bounded and not _layers_admit(orders, h1, h2, count, length, banned):
         return None
+    first = True
     for interior in _iter_paths(orders, h1, h2, length, banned):
         rest = _find_pages(
             orders, h1, h2, count - 1, length, banned | mask_of(interior)
         )
         if rest is not None:
             return [interior] + rest
-        if not bounded:
-            bounded = True
-            if not _layers_admit(orders, h1, h2, count, length, banned):
+        if first:
+            first = False
+            if not bounded and not _layers_admit(orders, h1, h2, count, length, banned):
                 return None
+            for z in interior:
+                if next(_iter_paths(orders, h1, h2, length, banned | 1 << z), None) is None:
+                    return None
     return None
 
 

@@ -59,3 +59,58 @@ def test_dump_round_trips():
     assert json.loads(text) == doc
     lines = text.splitlines()
     assert sum(line.startswith('  {"side"') for line in lines) == 2
+
+
+def test_summarise_reports_layer_quartiles_per_side():
+    # per-layer metrics come from the traced runs alone; a metric that one
+    # traced run lacks is left out
+    def traced(side, layer_ms, extra=None):
+        run = _run(side, 0, 1, 0.0, 0)
+        run["result"]["metrics"] = {"layer_ms": {"value": layer_ms}, **(extra or {})}
+        return run
+
+    runs = [_run("parent", 1, 0, 1.0, 5), _run("change", 1, 0, 0.9, 6),
+            traced("parent", 10.0, {"new_ms": {"value": 1.0}}), traced("change", 4.0),
+            traced("change", 2.0), traced("parent", 30.0), traced("parent", 20.0),
+            traced("change", 3.0)]
+    layers = bench_pair.summarise(runs, [1], {"wall_s": "lower"})["layers"]
+    assert list(layers) == ["layer_ms"]
+    assert layers["layer_ms"]["parent"] == {"q1": 15.0, "median": 20.0, "q3": 25.0}
+    assert layers["layer_ms"]["change"]["median"] == 3.0
+    assert bench_pair.summarise(runs[:2], [1], {})["layers"] == {}
+
+
+def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_bench(checkout, workload, seed, seconds, trace):
+        side = checkout.name
+        calls.append((side, seed, seconds, trace))
+        if trace:
+            nth = sum(c[0] == side and c[3] for c in calls)
+            metrics = {"layer_ms": {"value": nth * (10.0 if side == "parent" else 1.0)}}
+        else:
+            metrics = {"wall_s": {"value": 1.0 if side == "parent" else 0.5}}
+        return {"result": {"metrics": metrics, "correct": True}}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pair, "run_bench", fake_run_bench)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--seeds", "1-2", "--seconds", "3", "--out", str(out)]
+    assert bench_pair.main(argv) == 0
+    assert [c for c in calls if not c[3]] == [
+        ("parent", 1, 3, 0), ("change", 1, 3, 0), ("change", 2, 3, 0), ("parent", 2, 3, 0)]
+    assert [c[0] for c in calls if c[3]] == [
+        "parent", "change", "change", "parent", "parent", "change"]
+    assert all(c[1:3] == (0, 0) for c in calls if c[3])
+    doc = json.loads(out.read_text())
+    assert sum(run["trace"] for run in doc["runs"]) == 6
+    summary = doc["summary"]["w"]
+    assert summary["wall_s"]["change_wins"] == 2
+    assert summary["layers"]["layer_ms"]["parent"]["median"] == 20.0
+    assert summary["layers"]["layer_ms"]["change"]["median"] == 2.0
+    assert "w layer_ms: parent 20 change 2 (median of 3 traced)" in capsys.readouterr().out

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddbook import build_min_member, plan_layout, saturate
 from oddbook.bipartite import (
     Biclique,
     build_uvt_partition,
@@ -115,7 +117,9 @@ def _twin_rich_graph(rng):
 def test_biclique_search_matches_reference(seed, twin_rich):
     """Same biclique, node count, bound and optimality as the reference
     search for every budget, on G(n, p) and on graphs whose twin classes
-    have weights spread over several bit planes."""
+    have weights spread over several bit planes.  The greedy seed is also
+    compared on sparse G(n, p) with up to 40 vertices, where starts often
+    reach a candidate pair already visited."""
     rng = random.Random(seed)
     if twin_rich:
         g = _twin_rich_graph(rng)
@@ -127,6 +131,23 @@ def test_biclique_search_matches_reference(seed, twin_rich):
         ours = max_induced_complete_bipartite(g, **kwargs)
         ref = max_induced_complete_bipartite_ref(g, **kwargs)
         assert ours.to_json() == ref.to_json()
+    sparse = random_graph(rng.randrange(0, 41), rng.uniform(0.05, 0.6), rng)
+    assert greedy_biclique(sparse) == greedy_biclique_ref(sparse)
+
+
+def test_greedy_seed_tells_visited_pairs_apart_by_side():
+    # two starts reach the same candidate union split differently; a stop
+    # keyed on the union alone would cut the later start and lose the seed
+    g = Graph.from_edges(9, [(0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 6),
+                             (1, 7), (2, 3), (2, 5), (2, 7), (2, 8), (3, 7), (4, 7), (4, 8),
+                             (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)])
+    assert greedy_biclique(g) == greedy_biclique_ref(g)
+
+
+def test_greedy_seed_matches_reference_on_saturated_member():
+    member = build_min_member(plan_layout(128, 2, 2, Fraction(1, 2))).graph
+    sat, _ = saturate(member, 2, 2)
+    assert greedy_biclique(sat) == greedy_biclique_ref(sat)
 
 
 def test_biclique_search_pinned_on_saturated_member(saturated_64):

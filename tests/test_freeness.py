@@ -240,17 +240,23 @@ def test_saturate_random_postcondition(rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 9), st.booleans())
-def test_probe_witness_matches_unpruned_search(seed, wide):
+@given(st.integers(0, 10 ** 9), st.sampled_from(["dense", "wide", "sparse"]))
+def test_probe_witness_matches_unpruned_search(seed, host):
     """Every pair's first witness, anchor included, is the one the three
     anchored searches find on the unpruned kernel.  The wide hosts hold
     12-14 vertices, enough for the 12-vertex (2, 3) book, so a probe at
-    every page offset r = 0..4 meets a second page to complete."""
+    every page offset r = 0..4 meets a second page to complete.  On the
+    sparse hosts a failed first page often leaves every other page through
+    one of its vertices, where the common-vertex cut refutes."""
     rng = random.Random(seed)
-    if wide:
+    if host == "wide":
         s, k = 2, 3
         n = rng.randrange(12, 15)
         g = random_graph(n, rng.uniform(0.1, 0.45), rng)
+    elif host == "sparse":
+        s, k = rng.choice([(2, 2), (2, 3), (3, 2)])
+        n = rng.randrange(2 * k + 2, 13)
+        g = random_graph(n, rng.uniform(0.2, 0.5), rng)
     else:
         s, k = rng.choice([(2, 2), (3, 2), (2, 1), (1, 2), (1, 3), (3, 1)])
         n = rng.randrange(5, 12)
@@ -312,13 +318,18 @@ def test_parallel_probes_agree(min_member_64):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_kernel_matches_unpruned_kernel(seed):
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_kernel_matches_unpruned_kernel(seed, sparse):
     # pruning may only cut branches that yield nothing: same paths in the
-    # same order, same first pages, for every length an anchor search uses
+    # same order, same first pages, for every length an anchor search uses;
+    # on sparse hosts the pages often all pass one vertex of a failed first page
     rng = random.Random(seed)
-    n = rng.randrange(4, 10)
-    g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+    if sparse:
+        n = rng.randrange(6, 13)
+        g = random_graph(n, rng.uniform(0.2, 0.5), rng)
+    else:
+        n = rng.randrange(4, 10)
+        g = random_graph(n, rng.uniform(0.2, 0.8), rng)
     orders = _neighbor_orders(g)
     ref = neighbor_orders_ref(g)
     assert [orders[v] for v in range(n)] == ref
@@ -433,6 +444,27 @@ def test_thin_end_runs_the_layer_bound_first(monkeypatch):
     assert find_pages_ref(g.adj, neighbor_orders_ref(g), 0, 1, 2, 4, 0) is None
     monkeypatch.setattr(freeness, "_iter_paths", _kernel_must_not_run)
     assert _find_pages(_neighbor_orders(g), 0, 1, 2, 4, 0) is None
+
+
+def test_common_vertex_cut_refutes_what_the_layer_bound_admits(monkeypatch):
+    # three 4-edge routes from 0 to 1, each through 2, at positions 1, 2
+    # and 3: every layer holds at least two vertices and their union seven,
+    # so the layer bound admits two pages, but no page avoids 2
+    g = Graph.from_edges(9, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 2),
+                             (2, 1), (0, 7), (7, 2), (2, 8), (8, 1)])
+    assert _layers_admit(_neighbor_orders(g), 0, 1, 2, 4, 0)
+    assert find_pages_ref(g.adj, neighbor_orders_ref(g), 0, 1, 2, 4, 0) is None
+    seconds = []
+    find_pages = freeness._find_pages
+
+    def counted(orders, h1, h2, count, length, banned):
+        if count == 1:
+            seconds.append(banned)
+        return find_pages(orders, h1, h2, count, length, banned)
+
+    monkeypatch.setattr(freeness, "_find_pages", counted)
+    assert counted(_neighbor_orders(g), 0, 1, 2, 4, 0) is None
+    assert len(seconds) == 1  # one first page, then the cut
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,13 +7,17 @@
 For each workload and each seed in the range, one untraced run of
 ``bench/run.py --workload W --seed S --seconds T --trace 0`` is made in each
 checkout, the parent first on even pairs and the change first on odd ones,
-so that a drift of the host's speed falls on both sides alike.  Each side
-then makes one traced run at the golden seed with ``--seconds 0``, for the
-per-layer metrics.  The output file holds every run (its result line with
-the machine and details that bench/run.py records) and, per workload, the
-q1 / median / q3 of each end-to-end metric on each side and ``change_wins``:
-the number of pairs in which the change was better, ties counting for
-neither side.  Directions come from the change's BENCHMARK.json.
+so that a drift of the host's speed falls on both sides alike.  Then
+TRACED_RUNS pairs of traced runs at the golden seed with ``--seconds 0``
+follow, alternated the same way, for the per-layer metrics: one traced run
+per side reads too noisy on a shared host to compare two checkouts.  The
+output file holds every run (its result line with the machine and details
+that bench/run.py records) and, per workload, the q1 / median / q3 of each
+end-to-end metric on each side and ``change_wins``: the number of pairs in
+which the change was better, ties counting for neither side.  Under
+``layers`` it holds the q1 / median / q3 of each per-layer metric on each
+side, over the traced runs.  Directions come from the change's
+BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TRACED_RUNS = 3  # traced runs per side, for the per-layer medians
 
 
 def seed_range(text: str) -> list[int]:
@@ -54,7 +60,9 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict], seeds: list[int], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: both sides' quartiles and the change's wins."""
+    """Per end-to-end metric: both sides' quartiles and the change's wins;
+    under "layers", both sides' quartiles of every per-layer metric that
+    each traced run reports."""
     by_seed = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs if r["trace"] == 0}
     out = {"pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
            "all_correct": all(r["result"]["correct"] for r in runs)}
@@ -65,6 +73,15 @@ def summarise(runs: list[dict], seeds: list[int], better: dict[str, str]) -> dic
         out[name] = {"parent": quartiles([p for p, _ in pairs]),
                      "change": quartiles([c for _, c in pairs]),
                      "change_wins": wins}
+    traced = [r for r in runs if r["trace"] == 1]
+    names = [name for name in (traced[0]["result"]["metrics"] if traced else ())
+             if all(name in r["result"]["metrics"] for r in traced)]
+    out["layers"] = {
+        name: {side: quartiles([r["result"]["metrics"][name]["value"]
+                                for r in traced if r["side"] == side])
+               for side in ("parent", "change")}
+        for name in names
+    }
     return out
 
 
@@ -100,15 +117,18 @@ def main(argv=None) -> int:
                             **rec})
                 wall = rec["result"]["metrics"]["wall_s"]["value"]
                 print(f"{workload} seed {seed} {side}: wall_s {wall:.4f}", flush=True)
-        for side in ("parent", "change"):
-            rec = run_bench(sides[side], workload, 0, 0, 1)
-            ran.append({"side": side, "workload": workload, "seed": 0, "trace": 1, **rec})
+        for i in range(TRACED_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                rec = run_bench(sides[side], workload, 0, 0, 1)
+                ran.append({"side": side, "workload": workload, "seed": 0, "trace": 1,
+                            **rec})
         summary[workload] = summarise(ran, args.seeds, better)
         runs.extend(ran)
     doc = {
         "description": ("bench/run.py runs of the parent and the changed checkout, "
                         f"{args.seconds:g} s per untraced run, parent/change order alternated "
-                        "per seed; one traced run per side at seed 0 with --seconds 0."),
+                        f"per seed; {TRACED_RUNS} traced runs per side at seed 0 with "
+                        "--seconds 0, alternated the same way."),
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "summary": summary,
         "runs": runs,
@@ -120,6 +140,9 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
                   f"change {row['change']['median']:.4g} "
                   f"(change better in {row['change_wins']}/{rows['pairs']})")
+        for name, row in rows["layers"].items():
+            print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
+                  f"change {row['change']['median']:.4g} (median of {TRACED_RUNS} traced)")
     return 0
 
 
