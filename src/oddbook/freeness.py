@@ -10,13 +10,14 @@ or page-interior.  All searches are exhaustive and deterministic
 (neighbors visited in ascending-degree order, ties by id).
 
 The path kernel `_iter_paths` is one depth-first loop with an explicit
-stack, so a search of any length runs in one generator frame.  It prunes
-with necessary conditions, walk masks in `_iter_paths` and, in
-`_find_pages`, end-layer and layered cut bounds and a cut at a vertex that
-every page must use; each cuts only branches that cannot succeed, so
-verdicts and first witnesses are those of the unpruned search.
-The search state `_Orders` (sorted rows, degrees, walk masks) is built once
-per graph and, in `saturate`, updated in place as edges are added.
+stack, so a search of any length runs in one generator frame.  Searches
+prune with necessary conditions: walk masks in `_iter_paths`; end-layer
+and layered cut bounds and a cut at a vertex every page must use in
+`_find_pages`; a hub degree filter in `_find_page_anchored`.  Each cuts
+only branches that cannot succeed, so verdicts and first witnesses are
+those of the unpruned search.  The search state `_Orders` (sorted rows,
+degrees, degree and walk masks) is built once per graph and, in
+`saturate`, updated in place as edges are added.
 """
 
 from __future__ import annotations
@@ -98,22 +99,22 @@ class Witness:
 _pattern_cache = functools.cache(build_odd_book)
 
 
+@functools.cache
+def _pattern_edges(s: int, k: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_pattern_cache(s, k).graph.edges())
+
+
 def validate_witness(g: Graph, w: Witness) -> bool:
     """Re-check a witness against the host: injectivity plus every pattern
     edge present (the recorded probe pair counts as present)."""
-    if len(set(w.mapping)) != len(w.mapping):
+    m, adj = w.mapping, g.adj
+    if len(set(m)) != len(m) or any(not 0 <= v < g.n for v in m):
         return False
-    if any(not 0 <= v < g.n for v in w.mapping):
-        return False
-    pat = _pattern_cache(w.s, w.k)
-    probe = frozenset(w.probe) if w.probe else None
-    for pu, pv in pat.graph.edges():
-        hu, hv = w.mapping[pu], w.mapping[pv]
-        if g.has_edge(hu, hv):
-            continue
-        if probe and frozenset((hu, hv)) == probe:
-            continue
-        return False
+    x, y = w.probe or (-1, -1)
+    for pu, pv in _pattern_edges(w.s, w.k):
+        a, b = m[pu], m[pv]
+        if not (adj[a] >> b & 1 or a == x and b == y or a == y and b == x):
+            return False
     return True
 
 
@@ -127,29 +128,31 @@ class _Orders(dict):
     `orders[v]` lists the neighbors of v in ascending (degree, id) order, the
     order every search visits them in.  A row is sorted when a search first
     reads it, because a search that stops early reads few rows.  `deg` holds
-    the degrees, and walk masks are memoised per goal.  The object reads the
-    graph's adjacency list in place, so after the graph gains an edge call
-    `edge_added` before the next search.
+    the degrees; walk masks are memoised per goal and degree masks per bound.
+    The object reads the graph's adjacency list in place, so after the graph
+    gains an edge call `edge_added` before the next search.
 
     `edge_added` updates the state in place to what a fresh one would be.
     An added edge uv changes the key (degree, id) of u and v alone, and only
-    the rows of N(u) | N(v) hold them, so moving u and v keeps every cached
-    row sorted.  Walks are only gained, so walk masks only grow: W'_0 = W_0
-    and W'_{d+1} = N'(W'_d) = W_{d+1} | N'(W'_d - W_d) | the crossings of uv
+    the rows of N(u) | N(v) hold them, so moving u and v within those lists
+    keeps every cached row sorted.  A degree crosses a bound at most once.
+    Walks are only gained, so walk masks only grow: W'_0 = W_0 and
+    W'_{d+1} = N'(W'_d) = W_{d+1} | N'(W'_d - W_d) | the crossings of uv
     from W'_d, where N' is the neighborhood with uv.
     """
 
-    __slots__ = ("adj", "deg", "_walks")
+    __slots__ = ("adj", "deg", "_walks", "_high")
 
     def __init__(self, g: Graph):
         super().__init__()
         self.adj = g.adj
         self.deg = [row.bit_count() for row in g.adj]
         self._walks: dict[int, list[int]] = {}
+        self._high: dict[int, int] = {}
 
-    def __missing__(self, v: int) -> tuple[int, ...]:
+    def __missing__(self, v: int) -> list[int]:
         deg = self.deg
-        row = self[v] = tuple(sorted(bits(self.adj[v]), key=lambda w: (deg[w], w)))
+        row = self[v] = sorted(bits(self.adj[v]), key=lambda w: (deg[w], w))
         return row
 
     def walks(self, goal: int, depth: int) -> list[int]:
@@ -163,28 +166,34 @@ class _Orders(dict):
             masks.append(neighborhood(self.adj, masks[-1]))
         return masks
 
+    def high(self, s: int) -> int:
+        """Mask of the vertices of degree > s."""
+        if s not in self._high:
+            self._high[s] = mask_of(v for v, d in enumerate(self.deg) if d > s)
+        return self._high[s]
+
     def edge_added(self, u: int, v: int) -> None:
         """Catch up with the new edge uv: raise the degree of u, then of v,
-        and move it right in the cached rows that hold it (every other key
-        there is current); the row of the other end gains it.  Then grow
-        every memoised walk mask."""
-        deg, adj = self.deg, self.adj
+        add it to the degree masks it now passes, and move it right in the
+        cached rows that hold it (every other key there is current); the row
+        of the other end gains it.  Then grow every memoised walk mask."""
+        deg, adj, high = self.deg, self.adj, self._high
         for x, y in ((u, v), (v, u)):
+            if deg[x] in high:  # the new degree passes the bound s = deg[x]
+                high[deg[x]] |= 1 << x
             deg[x] += 1
             key = (deg[x], x)
             for w in bits(adj[x]):
                 row = self.get(w)
                 if row is not None:
                     if w != y:
-                        i = row.index(x)
-                        row = row[:i] + row[i + 1:]
-                    j = bisect_left(row, key, key=lambda z: (deg[z], z))
-                    self[w] = row[:j] + (x,) + row[j:]
+                        row.remove(x)
+                    row.insert(bisect_left(row, key, key=lambda z: (deg[z], z)), x)
         for masks in self._walks.values():
             gained = 0  # W'_{d-1} - W_{d-1}
             for d in range(1, len(masks)):
                 below = masks[d - 1]
-                grown = masks[d] | neighborhood(adj, gained)
+                grown = masks[d] | neighborhood(adj, gained) if gained else masks[d]
                 grown |= (below >> u & 1) << v | (below >> v & 1) << u
                 gained, masks[d] = grown & ~masks[d], grown
 
@@ -392,30 +401,39 @@ def _find_page_anchored(orders, x, y, s, k):
     its degree.  Otherwise the u-a segment is a walk of r edges, so u lies
     in W_r(a); the b-v segment is a walk of 2k-1-r edges, so v lies in
     W_{2k-1-r}(b).
+
+    A hub has degree s + 1 in the pattern, so v, and u when r >= 1, has
+    degree > s in the host: `far` and (r >= 1) `near` keep only such
+    vertices, and a near hub with no neighbor in `far` is skipped.  This
+    skips exactly the (u, v) pairs a degree test per neighbor would, in the
+    same order, so first witnesses stay.  A one-edge segment needs no search:
+    at r = 1 the u-a segment is the edge ua, as u is in W_1(a) = N(a), and a
+    one-edge tail is the edge bv, as v is in W_1(b) = N(b).
     """
-    deg = orders.deg
-    pair_mask = 1 << x | 1 << y
+    adj = orders.adj
+    hubs = orders.high(s) & ~(1 << x | 1 << y)  # degree > s, off the pair
     for i in range(2 * k):
         a, b = (y, x) if i == 1 else (x, y)
         r = i - 1 if i else 0
         if r:
-            near, need = bits(orders.walks(a, r)[r] & ~pair_mask), s + 1
-        elif deg[a] >= s and deg[b] >= 1:
-            near, need = (a,), s
+            near = bits(orders.walks(a, r)[r] & hubs)
+        elif orders.deg[a] >= s and orders.deg[b] >= 1:
+            near = (a,)
         else:
             continue
         tail_len = 2 * k - 1 - r
-        far = orders.walks(b, tail_len)[tail_len] & ~pair_mask
+        far = orders.walks(b, tail_len)[tail_len] & hubs
         for u in near:
-            if deg[u] < need:
+            if not adj[u] & far:
                 continue
             for v in orders[u]:
-                if not far >> v & 1 or deg[v] < s + 1:
+                if not far >> v & 1:
                     continue
-                firsts = _iter_paths(orders, u, a, r, 1 << v | 1 << b) if r else ((),)
+                firsts = _iter_paths(orders, u, a, r, 1 << v | 1 << b) if r > 1 else ((),)
                 for seg1 in firsts:
                     used = mask_of(seg1) | 1 << u | 1 << a
-                    for seg2 in _iter_paths(orders, b, v, tail_len, used):
+                    tails = _iter_paths(orders, b, v, tail_len, used) if tail_len > 1 else ((),)
+                    for seg2 in tails:
                         rest = _find_pages(
                             orders, u, v, s - 1, 2 * k,
                             used | 1 << b | mask_of(seg2),

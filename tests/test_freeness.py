@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,19 @@ def test_k44_with_probe_edge():
     assert w is not None
     assert validate_witness(g, w)
     assert disjoint_page_pair_exists(g, 0, 1, 2)
+    # the hub edge is missing from g; it passes as the probe, in either order
+    assert validate_witness(g, replace(w, probe=(1, 0)))
+    assert not validate_witness(g, replace(w, probe=None))
+    assert not validate_witness(g, replace(w, probe=(0, w.mapping[2])))
+    m = w.mapping
+    assert m[2] >= 4 and m[3] < 4  # a page alternates sides
+    for bad in (
+        (*m[:3], m[2], *m[4:]),  # a repeated vertex
+        (*m[:-1], g.n),  # out of range
+        (*m[:-1], -1),
+        (m[0], m[1], m[3], m[2], *m[4:]),  # edge m[0]-m[3] missing
+    ):
+        assert not validate_witness(g, replace(w, mapping=bad))
 
 
 def test_probe_rejects_equal_endpoints():
@@ -240,14 +254,17 @@ def test_saturate_random_postcondition(rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 9), st.sampled_from(["dense", "wide", "sparse"]))
+@given(st.integers(0, 10 ** 9), st.sampled_from(["dense", "wide", "sparse", "fringe"]))
 def test_probe_witness_matches_unpruned_search(seed, host):
     """Every pair's first witness, anchor included, is the one the three
     anchored searches find on the unpruned kernel.  The wide hosts hold
     12-14 vertices, enough for the 12-vertex (2, 3) book, so a probe at
     every page offset r = 0..4 meets a second page to complete.  On the
     sparse hosts a failed first page often leaves every other page through
-    one of its vertices, where the common-vertex cut refutes."""
+    one of its vertices, where the common-vertex cut refutes.  The fringe
+    hosts hang leaves and degree-s vertices off a dense core: none can be a
+    hub, so the degree filter removes near and far hubs on both sides of a
+    probe."""
     rng = random.Random(seed)
     if host == "wide":
         s, k = 2, 3
@@ -257,6 +274,18 @@ def test_probe_witness_matches_unpruned_search(seed, host):
         s, k = rng.choice([(2, 2), (2, 3), (3, 2)])
         n = rng.randrange(2 * k + 2, 13)
         g = random_graph(n, rng.uniform(0.2, 0.5), rng)
+    elif host == "fringe":
+        s, k = rng.choice([(2, 2), (3, 2), (2, 3)])
+        core = rng.randrange(6, 10)
+        n = core + rng.randrange(2, 5)
+        g = Graph(n)
+        for u in range(core):
+            for v in range(u + 1, core):
+                if rng.random() < 0.7:
+                    g.add_edge(u, v)
+        for v in range(core, n):
+            for u in rng.sample(range(core), rng.choice([1, s])):
+                g.add_edge(u, v)
     else:
         s, k = rng.choice([(2, 2), (3, 2), (2, 1), (1, 2), (1, 3), (3, 1)])
         n = rng.randrange(5, 12)
@@ -332,7 +361,7 @@ def test_kernel_matches_unpruned_kernel(seed, sparse):
         g = random_graph(n, rng.uniform(0.2, 0.8), rng)
     orders = _neighbor_orders(g)
     ref = neighbor_orders_ref(g)
-    assert [orders[v] for v in range(n)] == ref
+    assert [tuple(orders[v]) for v in range(n)] == ref
     for _ in range(3):
         h1, h2 = rng.sample(range(n), 2)
         banned = rng.getrandbits(n) & ~(1 << h1 | 1 << h2) if rng.random() < 0.5 else 0
@@ -494,6 +523,7 @@ def test_incremental_orders_match_fresh(rng):
         for w in range(n):
             orders[w]  # sort every row now, so that a stale one would show
         orders.walks(0, 3)
+        orders.high(2)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
         rng.shuffle(pairs)
         for u, v in pairs[:6]:
@@ -503,13 +533,15 @@ def test_incremental_orders_match_fresh(rng):
             assert [orders[w] for w in range(n)] == [fresh[w] for w in range(n)]
             assert orders.deg == fresh.deg
             assert orders.walks(0, 3) == fresh.walks(0, 3)
+            assert orders.high(2) == fresh.high(2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.sampled_from([(2, 2), (2, 3), (3, 2)]))
 def test_incremental_upkeep_matches_fresh_state(seed, sk):
-    """Rows moved by bisect and walk masks grown in place equal the state
-    built from scratch, after every added edge, for every memoised goal."""
+    """Rows moved by bisect, and degree and walk masks grown in place, equal
+    the state built from scratch after every added edge, for every memoised
+    degree bound and goal."""
     s, k = sk
     rng = random.Random(seed)
     n = rng.randrange(2, 4 * s * k)
@@ -518,6 +550,8 @@ def test_incremental_upkeep_matches_fresh_state(seed, sk):
     for w in range(n):
         orders[w]
         orders.walks(w, 2 * k - 1)
+    for t in range(4):
+        orders.high(t)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
     rng.shuffle(pairs)
     for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
@@ -526,6 +560,7 @@ def test_incremental_upkeep_matches_fresh_state(seed, sk):
         fresh = _neighbor_orders(g)
         assert dict(orders) == {w: fresh[w] for w in range(n)}
         assert orders.deg == fresh.deg
+        assert orders._high == {t: fresh.high(t) for t in range(4)}
         assert len(orders._walks) == n
         for goal, masks in orders._walks.items():
             assert len(masks) == 2 * k
