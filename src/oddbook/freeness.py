@@ -406,9 +406,7 @@ def _find_page_anchored(orders, x, y, s, k):
     degree > s in the host: `far` and (r >= 1) `near` keep only such
     vertices, and a near hub with no neighbor in `far` is skipped.  This
     skips exactly the (u, v) pairs a degree test per neighbor would, in the
-    same order, so first witnesses stay.  A one-edge segment needs no search:
-    at r = 1 the u-a segment is the edge ua, as u is in W_1(a) = N(a), and a
-    one-edge tail is the edge bv, as v is in W_1(b) = N(b).
+    same order, so first witnesses stay.
     """
     adj = orders.adj
     hubs = orders.high(s) & ~(1 << x | 1 << y)  # degree > s, off the pair
@@ -429,11 +427,10 @@ def _find_page_anchored(orders, x, y, s, k):
             for v in orders[u]:
                 if not far >> v & 1:
                     continue
-                firsts = _iter_paths(orders, u, a, r, 1 << v | 1 << b) if r > 1 else ((),)
+                firsts = _iter_paths(orders, u, a, r, 1 << v | 1 << b) if r else ((),)
                 for seg1 in firsts:
                     used = mask_of(seg1) | 1 << u | 1 << a
-                    tails = _iter_paths(orders, b, v, tail_len, used) if tail_len > 1 else ((),)
-                    for seg2 in tails:
+                    for seg2 in _iter_paths(orders, b, v, tail_len, used):
                         rest = _find_pages(
                             orders, u, v, s - 1, 2 * k,
                             used | 1 << b | mask_of(seg2),
