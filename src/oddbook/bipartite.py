@@ -283,20 +283,6 @@ class PartitionTrace:
     right_independent: bool = False
     min_cross_degree: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "initial_exceptional": sorted(bits(self.initial_exceptional)),
-            "moves": [
-                {"side": side, "trigger": trig, "moved": sorted(bits(m))}
-                for side, trig, m in self.moves
-            ],
-            "left_independent": self.left_independent,
-            "right_independent": self.right_independent,
-            "min_cross_degree": self.min_cross_degree,
-        }
-
 
 _MAX_CUT_STARTS = 4
 
@@ -435,16 +421,6 @@ def build_uvt_partition(
 # parity-constrained and long paths
 
 
-class _IdOrders(_Orders):
-    """Path search state whose rows list neighbors in ascending id order."""
-
-    __slots__ = ()
-
-    def __missing__(self, v: int) -> tuple[int, ...]:
-        row = self[v] = tuple(bits(self.adj[v]))
-        return row
-
-
 def find_parity_path(
     g: Graph,
     u: int,
@@ -478,7 +454,9 @@ def find_parity_path(
         )
     # the endpoints themselves may be listed in `avoid`
     banned = avoid & ~(1 << u | 1 << v)
-    interior = next(_iter_paths(_IdOrders(g), u, v, length, banned), None)
+    orders = _Orders(g)  # rows in ascending id order, not by (degree, id)
+    orders.update((w, list(bits(row))) for w, row in enumerate(g.adj))
+    interior = next(_iter_paths(orders, u, v, length, banned), None)
     return None if interior is None else [u, *interior, v]
 
 

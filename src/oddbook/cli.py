@@ -36,7 +36,7 @@ from .freeness import (
     is_maximal_book_free,
     saturate,
 )
-from .graph import GraphFormatError, decode_graph6, encode_graph6
+from .graph import _G6_MAX_ENCODE, GraphFormatError, decode_graph6, encode_graph6
 from .pattern import book_order, build_odd_book, chromatic_number, is_color_critical_edge, odd_book_issues
 from .reports import Timer, add_check, all_checks_pass, new_report, write_json
 from .stability import bound_report, deletion_pipeline
@@ -87,6 +87,25 @@ def _outdir(args) -> Path:
     return path
 
 
+def _check_maximality(report: dict, name: str, timer: str, g, args) -> str | None:
+    """Add check `name`: g is maximal (s, k)-book-free, timed as `timer`.
+    A failure lists at most 50 addable non-edges, or the first copy when g
+    holds the pattern; returns its one-line message, or None on a pass."""
+    try:
+        with Timer(report, timer):
+            maximal, failing = is_maximal_book_free(
+                g, args.s, args.k, workers=args.workers
+            )
+    except NotBookFreeError as exc:
+        add_check(report, name, False, error="input contains the pattern",
+                  witness=exc.witness.to_json())
+        return f"input is not pattern-free: witness at hub edge {exc.witness.hub_edge}"
+    add_check(report, name, maximal, failing_non_edges=failing[:50])
+    if maximal:
+        return None
+    return f"input is not maximal: {len(failing)} addable non-edges, first {failing[0]}"
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -116,6 +135,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.n > _G6_MAX_ENCODE:  # the outputs could never be written
+        raise ValueError(f"-n {args.n} is over the graph6 cap of n <= {_G6_MAX_ENCODE}")
     params = {
         "n": args.n,
         "s": args.s,
@@ -168,12 +189,7 @@ def cmd_construct(args) -> int:
     if args.saturate:
         with Timer(report, "saturate"):
             sat, added = saturate(result.graph, args.s, args.k)
-        with Timer(report, "maximality"):
-            maximal, failing = is_maximal_book_free(
-                sat, args.s, args.k, workers=args.workers
-            )
-        add_check(report, "saturated-maximal", maximal,
-                  failing_non_edges=failing[:20])
+        _check_maximality(report, "saturated-maximal", "maximality", sat, args)
         report["counts"]["saturated_edges"] = sat.num_edges()
         report["counts"]["added_edges"] = len(added)
         sat_path = outdir / f"{stem}.saturated.g6"
@@ -207,17 +223,7 @@ def cmd_verify(args) -> int:
             add_check(report, "freeness", free,
                       witness=witness.to_json() if witness else None)
         elif check == "maximality":
-            try:
-                with Timer(report, "maximality"):
-                    maximal, failing = is_maximal_book_free(
-                        g, args.s, args.k, workers=args.workers
-                    )
-                add_check(report, "maximality", maximal,
-                          failing_non_edges=failing[:50])
-            except NotBookFreeError as exc:
-                add_check(report, "maximality", False,
-                          error="input contains the pattern",
-                          witness=exc.witness.to_json())
+            _check_maximality(report, "maximality", "maximality", g, args)
         elif check == "biclique":
             with Timer(report, "biclique"):
                 search = max_induced_complete_bipartite(g, budget=args.budget)
@@ -257,33 +263,14 @@ def cmd_stability(args) -> int:
     report["counts"] = {"n": g.n, "edges": g.num_edges(), "h": h}
     outdir = _outdir(args)
 
-    problem = None  # (stderr message, input-maximal check details)
-    try:
-        with Timer(report, "maximality-precheck"):
-            maximal, failing = is_maximal_book_free(
-                g, args.s, args.k, workers=args.workers
-            )
-        if not maximal:
-            problem = (
-                f"input is not maximal: {len(failing)} addable non-edges, "
-                f"first {failing[0]}",
-                {"failing_non_edges": failing[:50]},
-            )
-    except NotBookFreeError as exc:
-        problem = (
-            f"input is not pattern-free: witness at hub edge {exc.witness.hub_edge}",
-            {"error": "input contains the pattern", "witness": exc.witness.to_json()},
-        )
+    problem = _check_maximality(report, "input-maximal", "maximality-precheck", g, args)
     if problem:
-        message, details = problem
-        add_check(report, "input-maximal", False, **details)
         _emit(report, str(outdir / "stability.report.json"))
-        print(message, file=sys.stderr)
+        print(problem, file=sys.stderr)
         return EXIT_CHECK_FAILED
-    add_check(report, "input-maximal", True)
 
     with Timer(report, "partition"):
-        part, ptrace = build_uvt_partition(g, h, seed=args.seed)
+        part, _ = build_uvt_partition(g, h, seed=args.seed)
     with Timer(report, "pipeline"):
         core, trace = deletion_pipeline(g, part, args.s, args.k)
     core_ok = validate_biclique(g, core)

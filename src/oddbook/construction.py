@@ -55,12 +55,14 @@ def integer_root(x: int, r: int) -> int:
         raise ValueError("integer_root needs x >= 0 and r >= 1")
     if x in (0, 1) or r == 1:
         return x
-    m = int(round(x ** (1.0 / r)))
-    while m > 0 and m ** r > x:
-        m -= 1
-    while (m + 1) ** r <= x:
-        m += 1
-    return m
+    # Newton's step from above: 2**ceil(bits/r) > x**(1/r), and each step
+    # stays at or above the floor root (AM-GM) while it falls, until m is it
+    m = 1 << -(-x.bit_length() // r)
+    while True:
+        step = ((r - 1) * m + x // m ** (r - 1)) // r
+        if step >= m:
+            return m
+        m = step
 
 
 @dataclass(frozen=True)

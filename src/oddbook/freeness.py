@@ -480,6 +480,19 @@ def is_book_free(
     return True, None
 
 
+def _free_non_edges(
+    g: Graph, s: int, k: int, size_limit: int | None
+) -> tuple[_Orders, list[tuple[int, int]]]:
+    """Search state of g and its non-edges in lexicographic order, once g is
+    certified free; raises NotBookFreeError with the first copy otherwise."""
+    orders = _neighbor_orders(g)
+    free, witness = is_book_free(g, s, k, size_limit=size_limit, _orders=orders)
+    if not free:
+        raise NotBookFreeError(witness)
+    return orders, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                    if not g.has_edge(u, v)]
+
+
 def _probe_chunk(args):
     g, s, k, pairs, orders = args
     if orders is None:
@@ -501,16 +514,7 @@ def is_maximal_book_free(
     """Every non-edge must create a copy when added; failing non-edges are
     returned in lexicographic order.  Raises NotBookFreeError if the input
     already contains the pattern."""
-    orders = _neighbor_orders(g)
-    free, witness = is_book_free(g, s, k, size_limit=size_limit, _orders=orders)
-    if not free:
-        raise NotBookFreeError(witness)
-    non_edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
+    orders, non_edges = _free_non_edges(g, s, k, size_limit)
     if workers > 1 and len(non_edges) > 4 * workers:
         chunks = [
             (g, s, k, non_edges[i::workers], None) for i in range(workers)
@@ -532,20 +536,16 @@ def saturate(
 
     Each pair is added iff its addition creates no copy at probe time; a
     copy created by a rejected pair persists in every later supergraph, so
-    a single pass already reaches the fixpoint.
+    a single pass already reaches the fixpoint.  The pass walks the
+    non-edges of g: an edge is added only at the current pair, so every
+    later pair is a non-edge then as it was in g.
     """
     out = g.copy()
-    orders = _neighbor_orders(out)
-    free, witness = is_book_free(out, s, k, size_limit=size_limit, _orders=orders)
-    if not free:
-        raise NotBookFreeError(witness)
+    orders, non_edges = _free_non_edges(out, s, k, size_limit)
     added: list[tuple[int, int]] = []
-    for u in range(out.n):
-        for v in range(u + 1, out.n):
-            if out.has_edge(u, v):
-                continue
-            if find_book_using_edge(out, u, v, s, k, _orders=orders) is None:
-                out.add_edge(u, v)
-                added.append((u, v))
-                orders.edge_added(u, v)
+    for u, v in non_edges:
+        if find_book_using_edge(out, u, v, s, k, _orders=orders) is None:
+            out.add_edge(u, v)
+            added.append((u, v))
+            orders.edge_added(u, v)
     return out, added

@@ -41,16 +41,6 @@ class ClassifiedNonEdge:
     anchors_right: tuple[int, ...]  # exceptional-set witness-neighbors of y
     anchored_both: bool             # the theorem-scale anchoring property
 
-    def to_json(self) -> dict:
-        return {
-            "probe": list(self.probe),
-            "class": self.cls.value,
-            "anchors_left": list(self.anchors_left),
-            "anchors_right": list(self.anchors_right),
-            "anchored_both": self.anchored_both,
-            "witness": self.witness.to_json(),
-        }
-
 
 def classify_non_edge(
     g: Graph,

@@ -114,3 +114,30 @@ def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
     assert summary["layers"]["layer_ms"]["parent"]["median"] == 20.0
     assert summary["layers"]["layer_ms"]["change"]["median"] == 2.0
     assert "w layer_ms: parent 20 change 2 (median of 3 traced)" in capsys.readouterr().out
+
+
+
+WIDE = [1.0, 1.0, 2.0, 2.0, 3.0]  # IQR / median = 0.5
+
+
+@pytest.mark.parametrize("better, parent, change, bound, unresolved", [
+    # over the bound, and one change run is worse than a parent run
+    ("lower", WIDE, [0.9, 1.5, 1.5, 1.5, 3.5], 0.25, True),
+    ("higher", WIDE, [3.5, 4.0, 4.0, 4.0, 0.5], 0.25, True),
+    # over the bound, but every change run beats every parent run
+    ("lower", WIDE, [0.5, 0.6, 0.7, 0.8, 0.9], 0.25, False),
+    ("higher", WIDE, [3.5, 4.0, 4.0, 4.0, 4.0], 0.25, False),
+    # a spread at the bound is not over it
+    ("lower", WIDE, [0.9, 1.5, 1.5, 1.5, 3.5], 0.5, False),
+    # a narrow parent resolves a change worse on every pair, as a loss
+    ("lower", [1.0, 1.0, 1.0, 1.1, 1.1], [2.0] * 5, 0.25, False),
+])
+def test_summarise_marks_unresolved_metrics(better, parent, change, bound, unresolved):
+    seeds = list(range(1, 6))
+    runs = [_run(side, seed, 0, wall, 0)
+            for seed, p, c in zip(seeds, parent, change)
+            for side, wall in (("parent", p), ("change", c))]
+    out = bench_pair.summarise(runs, seeds, {"wall_s": better}, {"wall_s": bound})
+    assert out["wall_s"]["unresolved"] is unresolved
+    # a metric with no bound is never unresolved
+    assert bench_pair.summarise(runs, seeds, {"wall_s": better})["wall_s"]["unresolved"] is False

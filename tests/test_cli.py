@@ -14,6 +14,15 @@ def _write_g6(path, g):
     return str(path)
 
 
+# The first copy of the (2, 2) book in itself, as a maximality check reports it.
+BOOK_WITNESS = {
+    "error": "input contains the pattern",
+    "witness": {"pattern": {"s": 2, "k": 2}, "mapping": [0, 1, 2, 3, 4, 5, 6, 7],
+                "hub_edge": [0, 1], "anchor": None, "probe": None},
+}
+C5_NON_EDGES = [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]
+
+
 def test_pattern_command(tmp_path, capsys):
     rc = main(["pattern", "-s", "2", "-k", "2", "-o", str(tmp_path)])
     assert rc == 0
@@ -68,6 +77,15 @@ def test_construct_infeasible(tmp_path, capsys):
     assert ">= 2" in err
 
 
+@pytest.mark.parametrize("n", [2 ** 18 + 1, 10 ** 400])
+def test_construct_refuses_order_over_graph6_cap(tmp_path, capsys, n):
+    # refused before the layout is planned, so this returns at once
+    assert main(["construct", "-n", str(n), "-s", "2", "-k", "2", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: -n {n} is over the graph6 cap of n <= 262144\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_with_saturation(tmp_path):
     rc = main([
         "construct", "-n", "20", "-s", "2", "-k", "2", "--saturate",
@@ -75,8 +93,10 @@ def test_construct_with_saturation(tmp_path):
     ])
     assert rc == 0
     report = json.loads((tmp_path / "construction_n20_s2_k2.report.json").read_text())
-    checks = {c["name"]: c["pass"] for c in report["checks"]}
-    assert checks["saturated-maximal"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["saturated-maximal"] == {
+        "name": "saturated-maximal", "pass": True, "details": {"failing_non_edges": []}}
+    assert {"saturate", "maximality"} <= set(report["timings_ms"])
     sat = decode_graph6((tmp_path / "construction_n20_s2_k2.saturated.g6").read_text())
     assert sat.num_edges() == report["counts"]["saturated_edges"]
     assert sat.num_edges() >= report["counts"]["edges"]
@@ -120,6 +140,27 @@ def test_verify_maximality_failure_lists_non_edges(tmp_path):
     check = report["checks"][0]
     assert not check["pass"]
     assert check["details"]["failing_non_edges"]
+    # the list is cut at 50 pairs: the empty graph on 11 vertices has 55
+    g6 = _write_g6(tmp_path / "empty11.g6", Graph(11))
+    assert main(["verify", "-i", g6, "--check", "maximality", "-o", str(out)]) == 1
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["details"]["failing_non_edges"] == [
+        [u, v] for u in range(11) for v in range(u + 1, 11)][:50]
+
+
+@pytest.mark.parametrize("g, rc, details", [
+    (complete_bipartite(4, 4), 0, {"failing_non_edges": []}),
+    (cycle_graph(5), 1, {"failing_non_edges": C5_NON_EDGES}),
+    (build_odd_book(2, 2).graph, 1, BOOK_WITNESS),
+], ids=["maximal", "not-maximal", "holds-pattern"])
+def test_verify_maximality_check_entry(tmp_path, capsys, g, rc, details):
+    g6 = _write_g6(tmp_path / "input.g6", g)
+    out = tmp_path / "report.json"
+    assert main(["verify", "-i", g6, "--check", "maximality", "-o", str(out)]) == rc
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["checks"] == [{"name": "maximality", "pass": rc == 0, "details": details}]
+    assert list(report["timings_ms"]) == ["maximality"]
 
 
 def test_parser_is_reused_without_carrying_state(tmp_path):
@@ -212,6 +253,9 @@ def test_stability_complete_bipartite(tmp_path):
     report = json.loads((tmp_path / "stability.report.json").read_text())
     assert report["counts"]["core_size"] == 18
     assert report["counts"]["deleted_total"] == 0
+    assert report["checks"][0] == {
+        "name": "input-maximal", "pass": True, "details": {"failing_non_edges": []}}
+    assert list(report["timings_ms"]) == ["maximality-precheck", "partition", "pipeline"]
     trace = json.loads((tmp_path / "stability.trace.json").read_text())
     assert trace["steps"] == []
 
@@ -220,14 +264,24 @@ def test_stability_rejects_non_maximal(tmp_path, capsys):
     g6 = _write_g6(tmp_path / "c5.g6", cycle_graph(5))
     rc = main(["stability", "-i", g6, "-s", "2", "-k", "2", "-o", str(tmp_path)])
     assert rc == 1
-    assert "not maximal" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "input is not maximal: 5 addable non-edges, first (0, 2)\n")
+    report = json.loads((tmp_path / "stability.report.json").read_text())
+    assert report["checks"] == [{"name": "input-maximal", "pass": False,
+                                 "details": {"failing_non_edges": C5_NON_EDGES}}]
+    assert list(report["timings_ms"]) == ["maximality-precheck"]
 
 
 def test_stability_rejects_non_free(tmp_path, capsys):
     g6 = _write_g6(tmp_path / "book.g6", build_odd_book(2, 2).graph)
     rc = main(["stability", "-i", g6, "-s", "2", "-k", "2", "-o", str(tmp_path)])
     assert rc == 1
-    assert "not pattern-free" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "input is not pattern-free: witness at hub edge (0, 1)\n")
+    report = json.loads((tmp_path / "stability.report.json").read_text())
+    assert report["checks"] == [
+        {"name": "input-maximal", "pass": False, "details": BOOK_WITNESS}]
+    assert list(report["timings_ms"]) == ["maximality-precheck"]
 
 
 @pytest.mark.parametrize(

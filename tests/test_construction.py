@@ -60,6 +60,19 @@ def test_integer_root():
     assert integer_root(63, 3) == 3
     assert integer_root(64, 3) == 4
     assert integer_root(10 ** 12 + 1, 4) == 1000
+    for r in range(1, 6):
+        for x in range(3000):
+            m = integer_root(x, r)
+            assert m ** r <= x < (m + 1) ** r
+
+
+def test_integer_root_beyond_float_range():
+    # a float start would step 2**300 times here, or overflow on 10**400
+    assert integer_root(2 ** 900, 3) == 2 ** 300
+    assert integer_root(2 ** 900 - 1, 3) == 2 ** 300 - 1
+    assert integer_root(10 ** 400, 4) == 10 ** 100
+    m = integer_root(10 ** 400, 3)
+    assert m ** 3 <= 10 ** 400 < (m + 1) ** 3
 
 
 def test_layout_64():

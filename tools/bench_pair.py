@@ -13,10 +13,13 @@ follow, alternated the same way, for the per-layer metrics: one traced run
 per side reads too noisy on a shared host to compare two checkouts.  The
 output file holds every run (its result line with the machine and details
 that bench/run.py records) and, per workload, the q1 / median / q3 of each
-end-to-end metric on each side and ``change_wins``: the number of pairs in
-which the change was better, ties counting for neither side.  Under
+end-to-end metric on each side, ``change_wins``: the number of pairs in
+which the change was better, ties counting for neither side, and
+``unresolved``: true when the parent's own runs spread (IQR over median)
+wider than the metric's ``bound`` and not every change run beats every
+parent run, so that the pairs can tell neither a gain nor a loss.  Under
 ``layers`` it holds the q1 / median / q3 of each per-layer metric on each
-side, over the traced runs.  Directions come from the change's
+side, over the traced runs.  Directions and bounds come from the change's
 BENCHMARK.json.
 """
 
@@ -59,8 +62,10 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(runs: list[dict], seeds: list[int], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: both sides' quartiles and the change's wins;
+def summarise(runs: list[dict], seeds: list[int], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per end-to-end metric: both sides' quartiles, the change's wins and
+    whether the metric is unresolved (a metric with no bound never is);
     under "layers", both sides' quartiles of every per-layer metric that
     each traced run reports."""
     by_seed = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs if r["trace"] == 0}
@@ -69,10 +74,14 @@ def summarise(runs: list[dict], seeds: list[int], better: dict[str, str]) -> dic
     for name, direction in better.items():
         pairs = [(by_seed["parent", s][name]["value"], by_seed["change", s][name]["value"])
                  for s in seeds]
-        wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
-        out[name] = {"parent": quartiles([p for p, _ in pairs]),
-                     "change": quartiles([c for _, c in pairs]),
-                     "change_wins": wins}
+        lower = direction == "lower"
+        wins = sum(c < p if lower else c > p for p, c in pairs)
+        parent, change = [p for p, _ in pairs], [c for _, c in pairs]
+        q = quartiles(parent)
+        wide = q["q3"] - q["q1"] > (bounds or {}).get(name, float("inf")) * q["median"]
+        clear = max(change) < min(parent) if lower else min(change) > max(parent)
+        out[name] = {"parent": q, "change": quartiles(change),
+                     "change_wins": wins, "unresolved": wide and not clear}
     traced = [r for r in runs if r["trace"] == 1]
     names = [name for name in (traced[0]["result"]["metrics"] if traced else ())
              if all(name in r["result"]["metrics"] for r in traced)]
@@ -105,6 +114,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs, summary = [], {}
     for workload in args.workload:
@@ -122,7 +132,7 @@ def main(argv=None) -> int:
                 rec = run_bench(sides[side], workload, 0, 0, 1)
                 ran.append({"side": side, "workload": workload, "seed": 0, "trace": 1,
                             **rec})
-        summary[workload] = summarise(ran, args.seeds, better)
+        summary[workload] = summarise(ran, args.seeds, better, bounds)
         runs.extend(ran)
     doc = {
         "description": ("bench/run.py runs of the parent and the changed checkout, "
@@ -139,7 +149,8 @@ def main(argv=None) -> int:
             row = rows[name]
             print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
                   f"change {row['change']['median']:.4g} "
-                  f"(change better in {row['change_wins']}/{rows['pairs']})")
+                  f"(change better in {row['change_wins']}/{rows['pairs']})"
+                  f"{'; unresolved: parent spread over the bound' if row['unresolved'] else ''}")
         for name, row in rows["layers"].items():
             print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
                   f"change {row['change']['median']:.4g} (median of {TRACED_RUNS} traced)")
