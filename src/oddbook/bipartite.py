@@ -454,8 +454,8 @@ def find_parity_path(
         )
     # the endpoints themselves may be listed in `avoid`
     banned = avoid & ~(1 << u | 1 << v)
-    orders = _Orders(g)  # rows in ascending id order, not by (degree, id)
-    orders.update((w, list(bits(row))) for w, row in enumerate(g.adj))
+    orders = _Orders(g)
+    orders.deg = [0] * g.n  # rows sort by (0, id): ascending id order
     interior = next(_iter_paths(orders, u, v, length, banned), None)
     return None if interior is None else [u, *interior, v]
 

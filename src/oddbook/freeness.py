@@ -130,7 +130,9 @@ class _Orders(dict):
     reads it, because a search that stops early reads few rows.  `deg` holds
     the degrees; walk masks are memoised per goal and degree masks per bound.
     The object reads the graph's adjacency list in place, so after the graph
-    gains an edge call `edge_added` before the next search.
+    gains an edge call `edge_added` before the next search.  A caller that
+    sets `deg` to all zeros before the first read gets rows in ascending id
+    order instead; it must then call neither `edge_added` nor `high`.
 
     `edge_added` updates the state in place to what a fresh one would be.
     An added edge uv changes the key (degree, id) of u and v alone, and only
@@ -151,8 +153,8 @@ class _Orders(dict):
         self._high: dict[int, int] = {}
 
     def __missing__(self, v: int) -> list[int]:
-        deg = self.deg
-        row = self[v] = sorted(bits(self.adj[v]), key=lambda w: (deg[w], w))
+        # bits() yields ascending ids and the sort is stable: (degree, id)
+        row = self[v] = sorted(bits(self.adj[v]), key=self.deg.__getitem__)
         return row
 
     def walks(self, goal: int, depth: int) -> list[int]:

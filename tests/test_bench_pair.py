@@ -39,7 +39,8 @@ def test_summarise_counts_wins_in_each_direction():
         _run("parent", 3, 0, 1.0, 5), _run("change", 3, 0, 1.1, 5),
         _run("parent", 0, 1, 9.0, 0), _run("change", 0, 1, 0.1, 99, correct=False),
     ]
-    out = bench_pair.summarise(runs, [1, 2, 3], {"wall_s": "lower", "score": "higher"})
+    out = bench_pair.summarise(runs, [1, 2, 3],
+                                {"wall_s": ("lower", 0.25), "score": ("higher", 0.25)})
     assert out["pairs"] == 3
     assert out["seeds"] == [1, 3]
     assert out["all_correct"] is False
@@ -73,7 +74,7 @@ def test_summarise_reports_layer_quartiles_per_side():
             traced("parent", 10.0, {"new_ms": {"value": 1.0}}), traced("change", 4.0),
             traced("change", 2.0), traced("parent", 30.0), traced("parent", 20.0),
             traced("change", 3.0)]
-    layers = bench_pair.summarise(runs, [1], {"wall_s": "lower"})["layers"]
+    layers = bench_pair.summarise(runs, [1], {"wall_s": ("lower", 0.25)})["layers"]
     assert list(layers) == ["layer_ms"]
     assert layers["layer_ms"]["parent"] == {"q1": 15.0, "median": 20.0, "q3": 25.0}
     assert layers["layer_ms"]["change"]["median"] == 3.0
@@ -96,7 +97,7 @@ def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
     monkeypatch.setattr(bench_pair, "run_bench", fake_run_bench)
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
@@ -114,7 +115,6 @@ def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
     assert summary["layers"]["layer_ms"]["parent"]["median"] == 20.0
     assert summary["layers"]["layer_ms"]["change"]["median"] == 2.0
     assert "w layer_ms: parent 20 change 2 (median of 3 traced)" in capsys.readouterr().out
-
 
 
 WIDE = [1.0, 1.0, 2.0, 2.0, 3.0]  # IQR / median = 0.5
@@ -137,7 +137,5 @@ def test_summarise_marks_unresolved_metrics(better, parent, change, bound, unres
     runs = [_run(side, seed, 0, wall, 0)
             for seed, p, c in zip(seeds, parent, change)
             for side, wall in (("parent", p), ("change", c))]
-    out = bench_pair.summarise(runs, seeds, {"wall_s": better}, {"wall_s": bound})
+    out = bench_pair.summarise(runs, seeds, {"wall_s": (better, bound)})
     assert out["wall_s"]["unresolved"] is unresolved
-    # a metric with no bound is never unresolved
-    assert bench_pair.summarise(runs, seeds, {"wall_s": better})["wall_s"]["unresolved"] is False

@@ -62,23 +62,22 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(runs: list[dict], seeds: list[int], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict:
-    """Per end-to-end metric: both sides' quartiles, the change's wins and
-    whether the metric is unresolved (a metric with no bound never is);
+def summarise(runs: list[dict], seeds: list[int], metrics: dict[str, tuple[str, float]]) -> dict:
+    """Per end-to-end metric, given as name -> (better, bound): both sides'
+    quartiles, the change's wins and whether the metric is unresolved;
     under "layers", both sides' quartiles of every per-layer metric that
     each traced run reports."""
     by_seed = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs if r["trace"] == 0}
     out = {"pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
            "all_correct": all(r["result"]["correct"] for r in runs)}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         pairs = [(by_seed["parent", s][name]["value"], by_seed["change", s][name]["value"])
                  for s in seeds]
         lower = direction == "lower"
         wins = sum(c < p if lower else c > p for p, c in pairs)
         parent, change = [p for p, _ in pairs], [c for _, c in pairs]
         q = quartiles(parent)
-        wide = q["q3"] - q["q1"] > (bounds or {}).get(name, float("inf")) * q["median"]
+        wide = q["q3"] - q["q1"] > bound * q["median"]
         clear = max(change) < min(parent) if lower else min(change) > max(parent)
         out[name] = {"parent": q, "change": quartiles(change),
                      "change_wins": wins, "unresolved": wide and not clear}
@@ -113,8 +112,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs, summary = [], {}
     for workload in args.workload:
@@ -132,7 +130,7 @@ def main(argv=None) -> int:
                 rec = run_bench(sides[side], workload, 0, 0, 1)
                 ran.append({"side": side, "workload": workload, "seed": 0, "trace": 1,
                             **rec})
-        summary[workload] = summarise(ran, args.seeds, better, bounds)
+        summary[workload] = summarise(ran, args.seeds, metrics)
         runs.extend(ran)
     doc = {
         "description": ("bench/run.py runs of the parent and the changed checkout, "
@@ -145,7 +143,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(dump(doc))
     for workload, rows in summary.items():
-        for name in better:
+        for name in metrics:
             row = rows[name]
             print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
                   f"change {row['change']['median']:.4g} "
