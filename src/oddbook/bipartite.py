@@ -442,8 +442,8 @@ def find_parity_path(
         raise ValueError("sides must partition the vertex set")
     if any(first_edge_within(g, side) for side in sides):
         raise ValueError("graph is not bipartite for the given sides")
-    if u == v:
-        raise ValueError("endpoints must differ")
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"endpoints ({u}, {v}) must be two distinct vertices of g")
     if length < 2:
         raise ValueError("length must be at least 2")
     cross = (side0 >> u & 1) != (side0 >> v & 1)
@@ -478,7 +478,7 @@ def find_long_path(g: Graph, min_vertices: int) -> LongPathResult:
     n = g.n
     if min_vertices <= 1:
         return LongPathResult([0] if n else [], density_guarantee=False)
-    guarantee = 2 * g.num_edges() > (min_vertices - 2) * n and n <= 512
+    guarantee = 2 * g.num_edges() > (min_vertices - 2) * n
     path = _dfs_long_path(g, min_vertices)
     if path is None and guarantee:
         path = _density_long_path(g, min_vertices)

@@ -23,7 +23,6 @@ from .bipartite import (
 from .construction import (
     BlockLayout,
     ConstructionResult,
-    LayoutInfeasibleError,
     build_min_member,
     certify_structure,
     edge_bound_check,
@@ -32,6 +31,7 @@ from .construction import (
 )
 from .freeness import (
     NotBookFreeError,
+    check_search_order,
     is_book_free,
     is_maximal_book_free,
     saturate,
@@ -135,8 +135,11 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.n > _G6_MAX_ENCODE:  # the outputs could never be written
+    # refused before anything is planned, built or written
+    if args.n > _G6_MAX_ENCODE:
         raise ValueError(f"-n {args.n} is over the graph6 cap of n <= {_G6_MAX_ENCODE}")
+    if args.saturate:
+        check_search_order(args.n)
     params = {
         "n": args.n,
         "s": args.s,
@@ -145,11 +148,7 @@ def cmd_construct(args) -> int:
         "saturate": args.saturate,
     }
     report = new_report("construct", params)
-    try:
-        layout = plan_layout(args.n, args.s, args.k, args.alpha)
-    except LayoutInfeasibleError as exc:
-        print(f"infeasible layout: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    layout = plan_layout(args.n, args.s, args.k, args.alpha)
     with Timer(report, "build"):
         result = build_min_member(layout)
     actual_edges = result.graph.num_edges()
@@ -205,6 +204,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if "certificate" in args.check and not args.layout:
+        raise ValueError("--layout is required for the certificate check")
     g = _read_graph(args.input)
     params = {
         "input": args.input,
@@ -230,10 +231,6 @@ def cmd_verify(args) -> int:
             valid = validate_biclique(g, search.best)
             add_check(report, "biclique", valid, **search.to_json())
         elif check == "certificate":
-            if not args.layout:
-                print("--layout is required for the certificate check",
-                      file=sys.stderr)
-                return EXIT_USAGE
             layout = BlockLayout.from_json(
                 json.loads(Path(args.layout).read_text())
             )
@@ -389,8 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ class LayoutInfeasibleError(ValueError):
     """Requested parameters leave no room for the leftover blocks."""
 
     def __init__(self, message: str, inequality: str):
-        super().__init__(f"{message}: violated {inequality}")
+        super().__init__(f"infeasible layout: {message}: violated {inequality}")
         self.inequality = inequality
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .graph import Graph, bits, mask_of, neighborhood
 from .pattern import book_order, build_odd_book
 
-DEFAULT_SIZE_LIMIT = 512
+MAX_SEARCH_ORDER = 512  # hosts above this order are refused: worst cases are exponential
 
 ANCHOR_HUB = "hub-hub"
 ANCHOR_HUB_PAGE = "hub-page"
@@ -105,10 +105,11 @@ def _pattern_edges(s: int, k: int) -> tuple[tuple[int, int], ...]:
 
 
 def validate_witness(g: Graph, w: Witness) -> bool:
-    """Re-check a witness against the host: injectivity plus every pattern
-    edge present (the recorded probe pair counts as present)."""
+    """Re-check a witness against the host: one distinct host vertex per
+    pattern vertex, and every pattern edge present (the recorded probe pair
+    counts as present)."""
     m, adj = w.mapping, g.adj
-    if len(set(m)) != len(m) or any(not 0 <= v < g.n for v in m):
+    if not (len(set(m)) == len(m) == book_order(w.s, w.k) and all(0 <= v < g.n for v in m)):
         return False
     x, y = w.probe or (-1, -1)
     for pu, pv in _pattern_edges(w.s, w.k):
@@ -381,8 +382,8 @@ def find_book_at_edge(
 
     The pair may or may not be an edge of g: the s pages never traverse it.
     """
-    if x == y:
-        raise ValueError("probe pair must be two distinct vertices")
+    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"probe pair ({x}, {y}) must be two distinct vertices of g")
     orders = _orders if _orders is not None else _neighbor_orders(g)
     if orders.deg[x] < s or orders.deg[y] < s:
         return None
@@ -464,16 +465,19 @@ def find_book_using_edge(
 # whole-graph checks
 
 
-def is_book_free(
-    g: Graph, s: int, k: int, size_limit: int | None = DEFAULT_SIZE_LIMIT, _orders=None
-) -> tuple[bool, Witness | None]:
+def check_search_order(n: int) -> None:
+    """Refuse, with ValueError, an exhaustive search on more than
+    MAX_SEARCH_ORDER vertices."""
+    if n > MAX_SEARCH_ORDER:
+        raise ValueError(f"exhaustive search refused for n={n} > {MAX_SEARCH_ORDER}")
+
+
+def is_book_free(g: Graph, s: int, k: int, _orders=None) -> tuple[bool, Witness | None]:
     """True iff the graph has no (s, k) odd-book subgraph; on False the
-    witness is the first copy in edge-lexicographic search order."""
-    if size_limit is not None and g.n > size_limit:
-        raise ValueError(
-            f"exhaustive search refused for n={g.n} > {size_limit}; "
-            "pass size_limit=None to override"
-        )
+    witness is the first copy in edge-lexicographic search order.  Hosts
+    over MAX_SEARCH_ORDER are refused here, and so by every whole-graph
+    check: maximality and saturation start with this search."""
+    check_search_order(g.n)
     orders = _orders if _orders is not None else _neighbor_orders(g)
     for u, v in g.edges():
         w = find_book_at_edge(g, u, v, s, k, _orders=orders)
@@ -482,13 +486,11 @@ def is_book_free(
     return True, None
 
 
-def _free_non_edges(
-    g: Graph, s: int, k: int, size_limit: int | None
-) -> tuple[_Orders, list[tuple[int, int]]]:
+def _free_non_edges(g: Graph, s: int, k: int) -> tuple[_Orders, list[tuple[int, int]]]:
     """Search state of g and its non-edges in lexicographic order, once g is
     certified free; raises NotBookFreeError with the first copy otherwise."""
     orders = _neighbor_orders(g)
-    free, witness = is_book_free(g, s, k, size_limit=size_limit, _orders=orders)
+    free, witness = is_book_free(g, s, k, _orders=orders)
     if not free:
         raise NotBookFreeError(witness)
     return orders, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
@@ -507,16 +509,12 @@ def _probe_chunk(args):
 
 
 def is_maximal_book_free(
-    g: Graph,
-    s: int,
-    k: int,
-    size_limit: int | None = DEFAULT_SIZE_LIMIT,
-    workers: int = 1,
+    g: Graph, s: int, k: int, workers: int = 1
 ) -> tuple[bool, list[tuple[int, int]]]:
     """Every non-edge must create a copy when added; failing non-edges are
     returned in lexicographic order.  Raises NotBookFreeError if the input
     already contains the pattern."""
-    orders, non_edges = _free_non_edges(g, s, k, size_limit)
+    orders, non_edges = _free_non_edges(g, s, k)
     if workers > 1 and len(non_edges) > 4 * workers:
         chunks = [
             (g, s, k, non_edges[i::workers], None) for i in range(workers)
@@ -531,9 +529,7 @@ def is_maximal_book_free(
     return not failing, failing
 
 
-def saturate(
-    g: Graph, s: int, k: int, size_limit: int | None = DEFAULT_SIZE_LIMIT
-) -> tuple[Graph, list[tuple[int, int]]]:
+def saturate(g: Graph, s: int, k: int) -> tuple[Graph, list[tuple[int, int]]]:
     """Maximal book-free supergraph via one lexicographic pass.
 
     Each pair is added iff its addition creates no copy at probe time; a
@@ -543,7 +539,7 @@ def saturate(
     later pair is a non-edge then as it was in g.
     """
     out = g.copy()
-    orders, non_edges = _free_non_edges(out, s, k, size_limit)
+    orders, non_edges = _free_non_edges(out, s, k)
     added: list[tuple[int, int]] = []
     for u, v in non_edges:
         if find_book_using_edge(out, u, v, s, k, _orders=orders) is None:

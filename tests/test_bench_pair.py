@@ -50,6 +50,12 @@ def test_summarise_counts_wins_in_each_direction():
     assert out["wall_s"]["change"]["median"] == 0.9
     assert out["score"]["change"]["median"] == 6
     assert bench_pair.summarise(runs[:6], [1, 2, 3], {})["all_correct"] is True
+    # a count is compared over the traced runs alone: score differs there,
+    # wall_s does not once the change's traced run reads the parent's
+    assert out["counts_differ"] == []
+    runs[7]["result"]["metrics"]["wall_s"]["value"] = 9.0
+    out = bench_pair.summarise(runs, [1, 2, 3], {}, counts=("wall_s", "score", "absent"))
+    assert out["counts_differ"] == ["score"]
 
 
 def test_dump_round_trips():
@@ -96,8 +102,10 @@ def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
 
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
-    (tmp_path / "change" / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    # layer_ms is declared a count, so its differing traced values are named
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "layer_ms", "unit": "count", "better": "lower"}]}))
     monkeypatch.setattr(bench_pair, "run_bench", fake_run_bench)
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
@@ -114,7 +122,10 @@ def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
     assert summary["wall_s"]["change_wins"] == 2
     assert summary["layers"]["layer_ms"]["parent"]["median"] == 20.0
     assert summary["layers"]["layer_ms"]["change"]["median"] == 2.0
-    assert "w layer_ms: parent 20 change 2 (median of 3 traced)" in capsys.readouterr().out
+    assert summary["counts_differ"] == ["layer_ms"]
+    printed = capsys.readouterr().out
+    assert "w layer_ms: parent 20 change 2 (median of 3 traced)" in printed
+    assert "w counts differ: layer_ms" in printed
 
 
 WIDE = [1.0, 1.0, 2.0, 2.0, 3.0]  # IQR / median = 0.5

@@ -305,6 +305,10 @@ def test_parity_mismatch_rejected():
         find_parity_path(g, 0, 5, 4, sides)
     with pytest.raises(ValueError):
         find_parity_path(g, 0, 1, 3, sides)
+    # endpoints out of range are refused by name
+    for u, v in ((0, 10), (-1, 5)):
+        with pytest.raises(ValueError, match=rf"endpoints \({u}, {v}\)"):
+            find_parity_path(g, u, v, 3, sides)
 
 
 def test_parity_path_avoids_interior_set():
@@ -403,6 +407,17 @@ def test_long_path_density_regime(rng):
         assert res.path is not None and len(res.path) >= target
         _check_path(g, res.path)
         assert longest_path_brute(g, cap=target) >= target
+    # the guarantee holds at any order: n = 600 with e > (L-2) n / 2
+    n, target = 600, 10
+    g = Graph(n)
+    for u in range(n):
+        for d in range(1, target // 2 + 1):
+            g.add_edge(u, (u + d) % n)
+    assert 2 * g.num_edges() > (target - 2) * n
+    res = find_long_path(g, target)
+    assert res.density_guarantee
+    assert res.path is not None and len(res.path) >= target
+    _check_path(g, res.path)
 
 
 def test_long_path_complete_graph():

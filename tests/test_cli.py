@@ -73,17 +73,24 @@ def test_construct_infeasible(tmp_path, capsys):
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "infeasible" in err
+    assert err.startswith("error: infeasible layout: ") and err.count("\n") == 1
     assert ">= 2" in err
-
-
-@pytest.mark.parametrize("n", [2 ** 18 + 1, 10 ** 400])
-def test_construct_refuses_order_over_graph6_cap(tmp_path, capsys, n):
-    # refused before the layout is planned, so this returns at once
-    assert main(["construct", "-n", str(n), "-s", "2", "-k", "2", "-o", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: -n {n} is over the graph6 cap of n <= 262144\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [2 ** 18 + 1, 10 ** 400, 513])
+def test_construct_refuses_order_over_graph6_cap(tmp_path, capsys, n):
+    # refused before the layout is planned, so this returns at once; at
+    # n = 513 only --saturate is refused, by the exhaustive-search limit
+    saturate = ["--saturate"] if n == 513 else []
+    argv = ["construct", "-n", str(n), "-s", "2", "-k", "2", "-o", str(tmp_path)]
+    assert main(argv + saturate) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive search refused for n=513 > 512\n" if saturate
+        else f"error: -n {n} is over the graph6 cap of n <= 262144\n")
+    assert list(tmp_path.iterdir()) == []
+    if saturate:
+        assert main(argv) == 0
 
 
 def test_construct_with_saturation(tmp_path):
@@ -108,7 +115,7 @@ def test_alpha_rejects_floats():
     assert exc.value.code == 2
 
 
-def test_verify_freeness_pass(tmp_path):
+def test_verify_freeness_pass(tmp_path, capsys):
     g6 = _write_g6(tmp_path / "c5.g6", cycle_graph(5))
     out = tmp_path / "report.json"
     rc = main(["verify", "-i", g6, "--check", "freeness", "-s", "2", "-k", "2",
@@ -116,6 +123,12 @@ def test_verify_freeness_pass(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["checks"][0]["pass"]
+    # above the exhaustive-search limit: one error line and no report
+    out.unlink()
+    g6 = _write_g6(tmp_path / "empty513.g6", Graph(513))
+    assert main(["verify", "-i", g6, "--check", "freeness", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: exhaustive search refused for n=513 > 512\n"
+    assert not out.exists()
 
 
 def test_verify_biclique_optimum(tmp_path):
@@ -182,11 +195,19 @@ def test_verify_unknown_check_rejected(tmp_path):
     assert exc.value.code == 2
 
 
-def test_verify_certificate_roundtrip(tmp_path):
+def test_verify_certificate_roundtrip(tmp_path, capsys):
     rc = main([
         "construct", "-n", "64", "-s", "2", "-k", "2", "-o", str(tmp_path),
     ])
     assert rc == 0
+    capsys.readouterr()
+    rc = main(["verify", "-i", str(tmp_path / "construction_n64_s2_k2.g6"),
+               "--check", "freeness", "--check", "certificate",
+               "-o", str(tmp_path / "verify.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --layout is required for the certificate check\n")
+    assert not (tmp_path / "verify.json").exists()
     rc = main([
         "verify",
         "-i", str(tmp_path / "construction_n64_s2_k2.g6"),

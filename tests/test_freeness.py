@@ -73,6 +73,8 @@ def test_k44_with_probe_edge():
         (*m[:-1], g.n),  # out of range
         (*m[:-1], -1),
         (m[0], m[1], m[3], m[2], *m[4:]),  # edge m[0]-m[3] missing
+        m[:-1],  # too short for the pattern
+        m[:2],
     ):
         assert not validate_witness(g, replace(w, mapping=bad))
 
@@ -80,6 +82,12 @@ def test_k44_with_probe_edge():
 def test_probe_rejects_equal_endpoints():
     with pytest.raises(ValueError):
         find_book_at_edge(complete_graph(4), 2, 2, 2, 2)
+    # vertices out of range are refused by name, in either search
+    k33 = complete_bipartite(3, 3)
+    for probe in (find_book_at_edge, find_book_using_edge):
+        for x, y in ((0, 9), (0, 6), (-1, 3)):
+            with pytest.raises(ValueError, match=rf"probe pair \({x}, {y}\)"):
+                probe(k33, x, y, 2, 2)
 
 
 def test_bipartite_graphs_are_free(rng):
@@ -329,11 +337,11 @@ def test_hosts_smaller_than_the_pattern(monkeypatch):
 
 
 def test_size_guard():
-    g = Graph(600)
-    with pytest.raises(ValueError):
-        is_book_free(g, 2, 2)
-    free, _ = is_book_free(g, 2, 2, size_limit=None)
-    assert free
+    # every whole-graph decision passes through is_book_free's limit
+    for check in (is_book_free, is_maximal_book_free, saturate):
+        with pytest.raises(ValueError, match=r"^exhaustive search refused for n=513 > 512$"):
+            check(Graph(513), 2, 2)
+    assert is_book_free(Graph(512), 2, 2) == (True, None)
 
 
 def test_parallel_probes_agree(min_member_64):

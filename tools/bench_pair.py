@@ -19,8 +19,11 @@ which the change was better, ties counting for neither side, and
 wider than the metric's ``bound`` and not every change run beats every
 parent run, so that the pairs can tell neither a gain nor a loss.  Under
 ``layers`` it holds the q1 / median / q3 of each per-layer metric on each
-side, over the traced runs.  Directions and bounds come from the change's
-BENCHMARK.json.
+side, over the traced runs, and under ``counts_differ`` every per-layer
+metric of unit ``count`` whose traced values are not all equal, on either
+side or between them: counts are deterministic, so a listed one means the
+two checkouts did different work.  Directions, bounds and units come from
+the change's BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -62,11 +65,13 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(runs: list[dict], seeds: list[int], metrics: dict[str, tuple[str, float]]) -> dict:
+def summarise(runs: list[dict], seeds: list[int], metrics: dict[str, tuple[str, float]],
+              counts: tuple[str, ...] = ()) -> dict:
     """Per end-to-end metric, given as name -> (better, bound): both sides'
     quartiles, the change's wins and whether the metric is unresolved;
     under "layers", both sides' quartiles of every per-layer metric that
-    each traced run reports."""
+    each traced run reports; under "counts_differ", the names in `counts`
+    whose value (or absence) is not the same in every traced run."""
     by_seed = {(r["side"], r["seed"]): r["result"]["metrics"] for r in runs if r["trace"] == 0}
     out = {"pairs": len(seeds), "seeds": [seeds[0], seeds[-1]],
            "all_correct": all(r["result"]["correct"] for r in runs)}
@@ -90,6 +95,10 @@ def summarise(runs: list[dict], seeds: list[int], metrics: dict[str, tuple[str, 
                for side in ("parent", "change")}
         for name in names
     }
+    out["counts_differ"] = [
+        name for name in counts
+        if len({r["result"]["metrics"].get(name, {}).get("value") for r in traced}) > 1
+    ]
     return out
 
 
@@ -113,6 +122,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    counts = tuple(m["name"] for m in spec["per_layer"] if m["unit"] == "count")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs, summary = [], {}
     for workload in args.workload:
@@ -130,7 +140,7 @@ def main(argv=None) -> int:
                 rec = run_bench(sides[side], workload, 0, 0, 1)
                 ran.append({"side": side, "workload": workload, "seed": 0, "trace": 1,
                             **rec})
-        summary[workload] = summarise(ran, args.seeds, metrics)
+        summary[workload] = summarise(ran, args.seeds, metrics, counts)
         runs.extend(ran)
     doc = {
         "description": ("bench/run.py runs of the parent and the changed checkout, "
@@ -152,6 +162,8 @@ def main(argv=None) -> int:
         for name, row in rows["layers"].items():
             print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
                   f"change {row['change']['median']:.4g} (median of {TRACED_RUNS} traced)")
+        if rows["counts_differ"]:
+            print(f"{workload} counts differ: {', '.join(rows['counts_differ'])}")
     return 0
 
 
