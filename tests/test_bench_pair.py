@@ -40,7 +40,8 @@ def test_summarise_counts_wins_in_each_direction():
         _run("parent", 0, 1, 9.0, 0), _run("change", 0, 1, 0.1, 99, correct=False),
     ]
     out = bench_pair.summarise(runs, [1, 2, 3],
-                                {"wall_s": ("lower", 0.25), "score": ("higher", 0.25)})
+                                {"wall_s": ("lower", 0.25), "score": ("higher", 0.25)},
+                                ("wall_s", "score"))
     assert out["pairs"] == 3
     assert out["seeds"] == [1, 3]
     assert out["all_correct"] is False
@@ -49,12 +50,13 @@ def test_summarise_counts_wins_in_each_direction():
     assert out["wall_s"]["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
     assert out["wall_s"]["change"]["median"] == 0.9
     assert out["score"]["change"]["median"] == 6
-    assert bench_pair.summarise(runs[:6], [1, 2, 3], {})["all_correct"] is True
-    # a count is compared over the traced runs alone: score differs there,
-    # wall_s does not once the change's traced run reads the parent's
-    assert out["counts_differ"] == []
+    assert bench_pair.summarise(runs[:6], [1, 2, 3], {}, ())["all_correct"] is True
+    # a count is compared over the traced runs alone: both differ there,
+    # and wall_s no longer does once the change's traced run reads the
+    # parent's; a count that no run reports differs nowhere
+    assert out["counts_differ"] == ["wall_s", "score"]
     runs[7]["result"]["metrics"]["wall_s"]["value"] = 9.0
-    out = bench_pair.summarise(runs, [1, 2, 3], {}, counts=("wall_s", "score", "absent"))
+    out = bench_pair.summarise(runs, [1, 2, 3], {}, ("wall_s", "score", "absent"))
     assert out["counts_differ"] == ["score"]
 
 
@@ -80,11 +82,11 @@ def test_summarise_reports_layer_quartiles_per_side():
             traced("parent", 10.0, {"new_ms": {"value": 1.0}}), traced("change", 4.0),
             traced("change", 2.0), traced("parent", 30.0), traced("parent", 20.0),
             traced("change", 3.0)]
-    layers = bench_pair.summarise(runs, [1], {"wall_s": ("lower", 0.25)})["layers"]
+    layers = bench_pair.summarise(runs, [1], {"wall_s": ("lower", 0.25)}, ())["layers"]
     assert list(layers) == ["layer_ms"]
     assert layers["layer_ms"]["parent"] == {"q1": 15.0, "median": 20.0, "q3": 25.0}
     assert layers["layer_ms"]["change"]["median"] == 3.0
-    assert bench_pair.summarise(runs[:2], [1], {})["layers"] == {}
+    assert bench_pair.summarise(runs[:2], [1], {}, ())["layers"] == {}
 
 
 def test_traced_runs_alternate_sides(tmp_path, monkeypatch, capsys):
@@ -148,5 +150,5 @@ def test_summarise_marks_unresolved_metrics(better, parent, change, bound, unres
     runs = [_run(side, seed, 0, wall, 0)
             for seed, p, c in zip(seeds, parent, change)
             for side, wall in (("parent", p), ("change", c))]
-    out = bench_pair.summarise(runs, seeds, {"wall_s": (better, bound)})
+    out = bench_pair.summarise(runs, seeds, {"wall_s": (better, bound)}, ())
     assert out["wall_s"]["unresolved"] is unresolved

@@ -387,7 +387,7 @@ def test_long_path_star_absent():
     assert not res.density_guarantee
 
 
-def test_long_path_density_regime(rng):
+def test_long_path_density_regime(rng, monkeypatch):
     # e > (L-2) n / 2 guarantees an L-vertex path; verify against the
     # exhaustive oracle on small instances
     for _ in range(20):
@@ -407,13 +407,21 @@ def test_long_path_density_regime(rng):
         assert res.path is not None and len(res.path) >= target
         _check_path(g, res.path)
         assert longest_path_brute(g, cap=target) >= target
-    # the guarantee holds at any order: n = 600 with e > (L-2) n / 2
+    # the guarantee holds at any order: n = 600 with e > (L-2) n / 2, and
+    # the polynomial fallback builds the path when the DFS finds none
+    from oddbook import bipartite
+
     n, target = 600, 10
     g = Graph(n)
     for u in range(n):
         for d in range(1, target // 2 + 1):
             g.add_edge(u, (u + d) % n)
     assert 2 * g.num_edges() > (target - 2) * n
+    res = find_long_path(g, target)
+    assert res.density_guarantee
+    assert res.path is not None and len(res.path) >= target
+    _check_path(g, res.path)
+    monkeypatch.setattr(bipartite, "_dfs_long_path", lambda g, target: None)
     res = find_long_path(g, target)
     assert res.density_guarantee
     assert res.path is not None and len(res.path) >= target

@@ -66,7 +66,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict], seeds: list[int], metrics: dict[str, tuple[str, float]],
-              counts: tuple[str, ...] = ()) -> dict:
+              counts: tuple[str, ...]) -> dict:
     """Per end-to-end metric, given as name -> (better, bound): both sides'
     quartiles, the change's wins and whether the metric is unresolved;
     under "layers", both sides' quartiles of every per-layer metric that
