@@ -276,12 +276,7 @@ class CorePartition:
 @dataclass
 class PartitionTrace:
     method: str
-    seed: int | None
-    initial_exceptional: int
     moves: list[tuple[str, int, int]] = field(default_factory=list)  # (side, trigger, moved mask)
-    left_independent: bool = False
-    right_independent: bool = False
-    min_cross_degree: int = 0
 
 
 _MAX_CUT_STARTS = 4
@@ -336,10 +331,7 @@ def greedy_odd_cycle_transversal(g: Graph) -> int:
 
 
 def build_uvt_partition(
-    g: Graph,
-    h: int,
-    seed: int = 0,
-    initial: tuple[int, int, int] | None = None,
+    g: Graph, h: int, seed: int = 0
 ) -> tuple[CorePartition, PartitionTrace]:
     """Partition into two sides plus an exceptional set such that every
     exceptional vertex has, toward each side, either no neighbor or more
@@ -351,39 +343,28 @@ def build_uvt_partition(
     2-coloring.  When the transversal exceeds n/3 the graph is nowhere near
     bipartite and a seeded local-search max cut is used instead, with
     overloaded vertices (more than h same-side neighbors) moved to the
-    exceptional set.  Callers may also supply `initial` explicitly.
+    exceptional set.
 
     Then greedily: while an exceptional vertex has between 1 and h
     neighbors in a side, that whole neighborhood moves to the exceptional
-    set.  Each move shrinks the sides, so this terminates.  Side
-    independence is reported, not assumed.
+    set.  Each move shrinks the sides, so this terminates.
     """
-    used_seed = None
-    if initial is not None:
-        left, right, exceptional = initial
-        if (left | right | exceptional) != g.vertex_mask or (
-            left & right or left & exceptional or right & exceptional
-        ):
-            raise ValueError("initial sides must partition the vertex set")
-        method = "explicit"
+    exceptional = greedy_odd_cycle_transversal(g)
+    if 3 * exceptional.bit_count() <= g.n:
+        left, right = two_coloring(g, within=g.vertex_mask & ~exceptional)
+        method = "transversal" if exceptional else "two-coloring"
     else:
-        exceptional = greedy_odd_cycle_transversal(g)
-        if 3 * exceptional.bit_count() <= g.n:
-            left, right = two_coloring(g, within=g.vertex_mask & ~exceptional)
-            method = "transversal" if exceptional else "two-coloring"
-        else:
-            side0, side1 = max_cut_bipartition(g, seed=seed)
-            exceptional = 0
-            for v in range(g.n):
-                own = side0 if side0 >> v & 1 else side1
-                if (g.adj[v] & own).bit_count() >= h + 1:
-                    exceptional |= 1 << v
-            left = side0 & ~exceptional
-            right = side1 & ~exceptional
-            method = "max-cut"
-            used_seed = seed
+        side0, side1 = max_cut_bipartition(g, seed=seed)
+        exceptional = 0
+        for v in range(g.n):
+            own = side0 if side0 >> v & 1 else side1
+            if (g.adj[v] & own).bit_count() >= h + 1:
+                exceptional |= 1 << v
+        left = side0 & ~exceptional
+        right = side1 & ~exceptional
+        method = "max-cut"
 
-    trace = PartitionTrace(method=method, seed=used_seed, initial_exceptional=exceptional)
+    trace = PartitionTrace(method=method)
 
     sides = [left, right]
     progress = True
@@ -404,16 +385,7 @@ def build_uvt_partition(
                 exceptional |= moved
                 trace.moves.append((side_name, trigger, moved))
                 progress = True
-    left, right = sides
-
-    part = CorePartition(left=left, right=right, exceptional=exceptional, h=h)
-    trace.left_independent = is_independent(g, left)
-    trace.right_independent = is_independent(g, right)
-    cross_degrees = [
-        (g.adj[v] & (right if left >> v & 1 else left)).bit_count()
-        for v in bits(left | right)
-    ]
-    trace.min_cross_degree = min(cross_degrees, default=0)
+    part = CorePartition(left=sides[0], right=sides[1], exceptional=exceptional, h=h)
     return part, trace
 
 

@@ -37,7 +37,14 @@ from .freeness import (
     saturate,
 )
 from .graph import _G6_MAX_ENCODE, GraphFormatError, decode_graph6, encode_graph6
-from .pattern import book_order, build_odd_book, chromatic_number, is_color_critical_edge, odd_book_issues
+from .pattern import (
+    book_order,
+    build_odd_book,
+    check_coloring_order,
+    chromatic_number,
+    is_color_critical_edge,
+    odd_book_issues,
+)
 from .reports import Timer, add_check, all_checks_pass, new_report, write_json
 from .stability import bound_report, deletion_pipeline
 
@@ -110,6 +117,8 @@ def _check_maximality(report: dict, name: str, timer: str, g, args) -> str | Non
 
 
 def cmd_pattern(args) -> int:
+    # refused before the book is built
+    check_coloring_order(book_order(args.s, args.k))
     report = new_report("pattern", {"s": args.s, "k": args.k})
     book = build_odd_book(args.s, args.k)
     issues = odd_book_issues(book)

@@ -82,10 +82,6 @@ class Witness:
         idx = self.mapping.index(host)
         return tuple(self.mapping[j] for j in bits(pat.graph.adj[idx]))
 
-    def host_degree(self, host: int) -> int:
-        pat = _pattern_cache(self.s, self.k)
-        return pat.graph.degree(self.mapping.index(host))
-
     def to_json(self) -> dict:
         return {
             "pattern": {"s": self.s, "k": self.k},

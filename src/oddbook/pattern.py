@@ -25,10 +25,6 @@ class OddBook:
     def order(self) -> int:
         return self.graph.n
 
-    @property
-    def hub_edge(self) -> tuple[int, int]:
-        return self.hubs
-
 
 def book_order(s: int, k: int) -> int:
     return s * (2 * k - 1) + 2
@@ -97,10 +93,16 @@ def odd_book_issues(p: OddBook) -> list[str]:
 _CHROMATIC_CAP = 32
 
 
+def check_coloring_order(n: int) -> None:
+    """Refuse, with ValueError, an exact coloring of more than
+    _CHROMATIC_CAP vertices."""
+    if n > _CHROMATIC_CAP:
+        raise ValueError(f"exact coloring refused for n > {_CHROMATIC_CAP}")
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by backtracking, capped to small graphs."""
-    if g.n > _CHROMATIC_CAP:
-        raise ValueError(f"exact coloring refused for n > {_CHROMATIC_CAP}")
+    check_coloring_order(g.n)
     if g.n == 0:
         return 0
     if g.num_edges() == 0:

@@ -1,10 +1,10 @@
 """Deletion pipeline extracting an induced complete bipartite core.
 
-Every surviving cross non-edge of the bipartite core is classified by the
-degrees its endpoints take inside a witness copy created by adding the
-pair; the endpoint neighborhoods of the witness that land in the
-exceptional set anchor two candidate deletion sets, and the smaller one is
-removed from the core.  Each step deletes at least one vertex, so the loop
+Every surviving cross non-edge of the bipartite core is classified by
+which endpoints are hubs of the witness copy created by adding the pair;
+the endpoint neighborhoods of the witness that land in the exceptional
+set anchor two candidate deletion sets, and the smaller one is removed
+from the core.  Each step deletes at least one vertex, so the loop
 ends with no cross non-edges left.  Intra-side edges (possible on rough
 inputs whose sides are not independent) are cleaned up first so the
 surviving core always induces a complete bipartite graph.
@@ -62,28 +62,26 @@ def classify_non_edge(
     w = find_book_using_edge(g, x, y, s, k, _orders=_orders)
     if w is None:
         raise NotMaximalError((x, y))
-    dx = w.host_degree(x)
-    dy = w.host_degree(y)
+    x_hub, y_hub = x in w.hub_edge, y in w.hub_edge
     t_set = part.exceptional
     anchors_x = tuple(z for z in w.host_neighbors(x) if t_set >> z & 1)
     anchors_y = tuple(z for z in w.host_neighbors(y) if t_set >> z & 1)
-    hub_deg = s + 1
-    if dx == 2 and dy == 2:
-        cls = NonEdgeClass.INTERIOR_INTERIOR
-    elif dx == hub_deg and dy == hub_deg:
+    if x_hub and y_hub:
         cls = NonEdgeClass.HUB_HUB
-    elif dx == hub_deg:
+    elif x_hub:
         cls = (
             NonEdgeClass.HUB_INTERIOR_FULL
             if len(anchors_x) == s
             else NonEdgeClass.HUB_INTERIOR_PARTIAL
         )
-    else:
+    elif y_hub:
         cls = (
             NonEdgeClass.INTERIOR_HUB_FULL
             if len(anchors_y) == s
             else NonEdgeClass.INTERIOR_HUB_PARTIAL
         )
+    else:
+        cls = NonEdgeClass.INTERIOR_INTERIOR
     return ClassifiedNonEdge(
         probe=(x, y),
         witness=w,

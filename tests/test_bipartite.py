@@ -24,6 +24,7 @@ from oddbook.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_independent,
     mask_of,
     path_graph,
     random_graph,
@@ -193,7 +194,7 @@ def test_partition_complete_bipartite_trivial():
     assert trace.method == "two-coloring"
     assert part.exceptional == 0
     assert part.left.bit_count() == 8 and part.right.bit_count() == 8
-    assert trace.left_independent and trace.right_independent
+    assert is_independent(g, part.left) and is_independent(g, part.right)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,25 +219,26 @@ def test_partition_of_bipartite_host_is_its_two_coloring(sides, p, seed, h):
 
 
 def test_partition_pendant_attachment_migrates():
-    # complete bipartite sides of 12 plus a low-degree pendant w: seeding w
-    # into the exceptional set pulls its 3 attachment vertices out of the
-    # side, after which w has no side neighbors left
+    # complete bipartite sides of 12 plus a low-degree vertex w joined to
+    # 3 left and 1 right vertex: w closes triangles, so the transversal
+    # seeds the exceptional set with w alone, and the clean-up pulls each
+    # of its attachment sets out of its side, after which w has no side
+    # neighbors left
     m, h = 12, 8
     g = complete_bipartite(m, m)
     w = m * 2
     g2 = Graph(2 * m + 1)
     for u, v in g.edges():
         g2.add_edge(u, v)
-    for a in (0, 1, 2):
+    for a in (0, 1, 2, m):
         g2.add_edge(w, a)
-    left = mask_of(range(m))
-    right = mask_of(range(m, 2 * m))
-    part, trace = build_uvt_partition(g2, h, initial=(left, right, 1 << w))
-    assert part.exceptional == mask_of([0, 1, 2, w])
+    part, trace = build_uvt_partition(g2, h)
+    assert trace.method == "transversal"
+    assert part.exceptional == mask_of([0, 1, 2, m, w])
     assert part.left == mask_of(range(3, m))
-    assert part.right == right
-    assert (g2.adj[w] & part.left) == 0
-    assert len(trace.moves) == 1
+    assert part.right == mask_of(range(m + 1, 2 * m))
+    assert (g2.adj[w] & (part.left | part.right)) == 0
+    assert trace.moves == [("left", w, mask_of([0, 1, 2])), ("right", w, 1 << m)]
 
 
 def test_partition_degree_dichotomy(rng):
@@ -262,7 +264,7 @@ def test_partition_saturated_construction(saturated_64):
     assert part.exceptional.bit_count() == 44
     assert part.left.bit_count() == 10
     assert part.right.bit_count() == 10
-    assert trace.left_independent and trace.right_independent
+    assert is_independent(sat, part.left) and is_independent(sat, part.right)
 
 
 def test_transversal_on_odd_structures():

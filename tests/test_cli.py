@@ -44,6 +44,19 @@ def test_pattern_single_page_is_cycle(tmp_path):
     assert all(g.degree(v) == 2 for v in range(7))
 
 
+def test_pattern_refuses_order_over_coloring_cap(tmp_path, capsys, monkeypatch):
+    # the size is refused before the book is built: an order of 3 * 10**9
+    # would otherwise allocate its adjacency list first
+    def no_build(*args):
+        raise AssertionError("build_odd_book called")
+
+    monkeypatch.setattr("oddbook.cli.build_odd_book", no_build)
+    for s in ("11", "1000000000"):  # orders 35 and 3 * 10**9 + 2
+        assert main(["pattern", "-s", s, "-k", "2", "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: exact coloring refused for n > 32\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pattern_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["pattern", "-s", "0", "-k", "2"])
@@ -161,15 +174,22 @@ def test_verify_maximality_failure_lists_non_edges(tmp_path):
         [u, v] for u in range(11) for v in range(u + 1, 11)][:50]
 
 
-@pytest.mark.parametrize("g, rc, details", [
-    (complete_bipartite(4, 4), 0, {"failing_non_edges": []}),
-    (cycle_graph(5), 1, {"failing_non_edges": C5_NON_EDGES}),
-    (build_odd_book(2, 2).graph, 1, BOOK_WITNESS),
-], ids=["maximal", "not-maximal", "holds-pattern"])
-def test_verify_maximality_check_entry(tmp_path, capsys, g, rc, details):
+# K_{4,4} has 12 non-edges, more than 4 per worker, so "--workers 2" runs
+# its probes in the process pool; the other inputs stay serial
+@pytest.mark.parametrize("g, rc, details, workers", [
+    (complete_bipartite(4, 4), 0, {"failing_non_edges": []}, []),
+    (cycle_graph(5), 1, {"failing_non_edges": C5_NON_EDGES}, []),
+    (build_odd_book(2, 2).graph, 1, BOOK_WITNESS, []),
+    (complete_bipartite(4, 4), 0, {"failing_non_edges": []}, ["--workers", "2"]),
+    (cycle_graph(5), 1, {"failing_non_edges": C5_NON_EDGES}, ["--workers", "2"]),
+    (build_odd_book(2, 2).graph, 1, BOOK_WITNESS, ["--workers", "2"]),
+], ids=["maximal", "not-maximal", "holds-pattern",
+        "maximal-workers-2", "not-maximal-workers-2", "holds-pattern-workers-2"])
+def test_verify_maximality_check_entry(tmp_path, capsys, g, rc, details, workers):
     g6 = _write_g6(tmp_path / "input.g6", g)
     out = tmp_path / "report.json"
-    assert main(["verify", "-i", g6, "--check", "maximality", "-o", str(out)]) == rc
+    argv = ["verify", "-i", g6, "--check", "maximality", "-o", str(out), *workers]
+    assert main(argv) == rc
     assert capsys.readouterr().err == ""
     report = json.loads(out.read_text())
     assert report["checks"] == [{"name": "maximality", "pass": rc == 0, "details": details}]

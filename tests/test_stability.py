@@ -16,10 +16,10 @@ from oddbook.stability import (
 )
 
 
-def _book_host_without(edge):
-    """The (2,2) odd book with one edge removed: probing that edge back
+def _book_host_without(s, k, edge):
+    """The (s, k) odd book with one edge removed: probing that edge back
     recreates the book, so the witness mapping is fully pinned down."""
-    book = build_odd_book(2, 2)
+    book = build_odd_book(s, k)
     g = book.graph.copy()
     g.delete_edge(*edge)
     return g
@@ -36,17 +36,24 @@ def _part(n, left, right):
 
 
 def test_classify_hub_hub():
-    g = _book_host_without((0, 1))
+    g = _book_host_without(2, 2, (0, 1))
     part = _part(8, [0], [1])
     info = classify_non_edge(g, part, 0, 1, 2, 2)
     assert info.cls is NonEdgeClass.HUB_HUB
     assert set(info.anchors_left) == {2, 5}
     assert set(info.anchors_right) == {4, 7}
     assert info.anchored_both
+    # s = 1: the book is C_5, where hubs and page interiors all have
+    # degree 2; the witness puts the probed page edge on its hub edge
+    g = _book_host_without(1, 2, (3, 4))
+    info = classify_non_edge(g, _part(5, [3], [4]), 3, 4, 1, 2)
+    assert info.witness.hub_edge == (3, 4)
+    assert info.cls is NonEdgeClass.HUB_HUB
+    assert (info.anchors_left, info.anchors_right) == ((2,), (1,))
 
 
 def test_classify_hub_interior_full():
-    g = _book_host_without((0, 2))
+    g = _book_host_without(2, 2, (0, 2))
     part = _part(8, [0], [2])
     info = classify_non_edge(g, part, 0, 2, 2, 2)
     assert info.cls is NonEdgeClass.HUB_INTERIOR_FULL
@@ -57,7 +64,7 @@ def test_classify_hub_interior_full():
 def test_classify_hub_interior_partial():
     # moving one hub neighbor out of the exceptional set drops the anchor
     # count below s
-    g = _book_host_without((0, 2))
+    g = _book_host_without(2, 2, (0, 2))
     part = _part(8, [0, 5], [2])
     info = classify_non_edge(g, part, 0, 2, 2, 2)
     assert info.cls is NonEdgeClass.HUB_INTERIOR_PARTIAL
@@ -65,7 +72,7 @@ def test_classify_hub_interior_partial():
 
 
 def test_classify_interior_hub_full():
-    g = _book_host_without((0, 2))
+    g = _book_host_without(2, 2, (0, 2))
     part = _part(8, [2], [0])
     info = classify_non_edge(g, part, 2, 0, 2, 2)
     assert info.cls is NonEdgeClass.INTERIOR_HUB_FULL
@@ -73,7 +80,7 @@ def test_classify_interior_hub_full():
 
 
 def test_classify_interior_interior():
-    g = _book_host_without((3, 4))
+    g = _book_host_without(2, 2, (3, 4))
     part = _part(8, [3], [4])
     info = classify_non_edge(g, part, 3, 4, 2, 2)
     assert info.cls is NonEdgeClass.INTERIOR_INTERIOR
@@ -82,7 +89,7 @@ def test_classify_interior_interior():
 
 
 def test_classify_requires_probe_pair():
-    g = _book_host_without((0, 1))
+    g = _book_host_without(2, 2, (0, 1))
     part = _part(8, [0], [2])
     with pytest.raises(ValueError):
         classify_non_edge(g, part, 0, 1, 2, 2)  # 1 not on the right side
@@ -102,7 +109,7 @@ def test_classify_detects_non_maximal():
 
 def test_pipeline_anchored_single_step():
     # hub-hub probe whose candidate sets are the two hubs themselves
-    g = _book_host_without((0, 1))
+    g = _book_host_without(2, 2, (0, 1))
     part = _part(8, [0], [1])
     core, trace = deletion_pipeline(g, part, 2, 2)
     assert len(trace.steps) == 1
