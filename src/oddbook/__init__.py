@@ -13,12 +13,9 @@ __version__ = "0.1.0"
 from .graph import (
     Graph,
     GraphFormatError,
-    decode_edge_list,
     decode_graph6,
-    encode_edge_list,
     encode_graph6,
     induced_subgraph,
-    non_edges_between,
 )
 from .pattern import OddBook, build_odd_book, chromatic_number, is_color_critical_edge
 from .construction import (
@@ -66,12 +63,9 @@ from .stability import (
 __all__ = [
     "Graph",
     "GraphFormatError",
-    "decode_edge_list",
     "decode_graph6",
-    "encode_edge_list",
     "encode_graph6",
     "induced_subgraph",
-    "non_edges_between",
     "OddBook",
     "build_odd_book",
     "chromatic_number",

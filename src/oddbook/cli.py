@@ -25,6 +25,7 @@ from .construction import (
     ConstructionResult,
     build_min_member,
     certify_structure,
+    check_alpha,
     edge_bound_check,
     plan_layout,
     specified_edge_count,
@@ -257,6 +258,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    check_alpha(args.alpha)  # refused before the input is read
     g = _read_graph(args.input)
     params = {
         "input": args.input,

@@ -151,12 +151,6 @@ class BlockLayout:
             for q in range(self.base):
                 yield p, q, self.connector(p, q)
 
-    def connector_vertex(self, p: int, q: int, r: int) -> int:
-        """r-th vertex on connector (p, q), 1-based along the path."""
-        if not 1 <= r <= self.connector_len:
-            raise ValueError(f"connector position {r} outside [1, {self.connector_len}]")
-        return self.connector(p, q)[r - 1]
-
     def _half_mask(self, side: int) -> int:
         return mask_of(v for i in range(self.pairs + 1) for v in self._block(i, side))
 
@@ -166,22 +160,9 @@ class BlockLayout:
     def right_mask(self) -> int:
         return self._half_mask(1)
 
-    def connector_mask(self) -> int:
-        return mask_of(v for _, _, chain in self.connectors() for v in chain)
-
     def middle_mask(self) -> int:
         """Middle vertices (position k) of all connectors."""
         return mask_of(chain[self.k - 1] for _, _, chain in self.connectors())
-
-    def label_of(self, v: int) -> tuple:
-        for i in range(self.pairs + 1):
-            for side, name in enumerate(("left", "right")):
-                if v in self._block(i, side):
-                    return (name, i)
-        for p, q, chain in self.connectors():
-            if v in chain:
-                return ("connector", p, q, v - chain.start + 1)
-        raise ValueError(f"vertex {v} outside layout")
 
     def attached_pairs(self, p: int, q: int) -> list[int]:
         """Indexed block pairs whose digit at position p equals q."""
@@ -241,14 +222,19 @@ class BlockLayout:
         return layout
 
 
+def check_alpha(alpha: Fraction) -> None:
+    """Refuse a density parameter outside (0, 1/2]."""
+    if not 0 < alpha <= Fraction(1, 2):
+        raise ValueError("alpha must lie in (0, 1/2]")
+
+
 def plan_layout(n: int, s: int, k: int, alpha: Fraction | str) -> BlockLayout:
     """Integerized layout: block size is the floor (s+1)-th root of n and the
     digit base is max(1, floor(alpha * block_size))."""
     alpha = Fraction(alpha)
     if s < 2 or k < 2:
         raise ValueError("layout needs s >= 2 and k >= 2")
-    if not 0 < alpha <= Fraction(1, 2):
-        raise ValueError("alpha must lie in (0, 1/2]")
+    check_alpha(alpha)
     m = integer_root(n, s + 1)
     t = max(1, int(alpha * m))
     layout = BlockLayout(n=n, s=s, k=k, alpha=alpha, base=t, block_size=m)
@@ -339,15 +325,6 @@ class CertificateReport:
     @property
     def ok(self) -> bool:
         return all(f.ok for f in self.facts)
-
-    def fact(self, name: str) -> CertificateFact:
-        for f in self.facts:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "facts": [f.to_json() for f in self.facts]}
 
 
 def _fact(name: str, first_violation: tuple | None) -> CertificateFact:

@@ -38,12 +38,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def as_mask(vertices: int | Iterable[int]) -> int:
-    if isinstance(vertices, int):
-        return vertices
-    return mask_of(vertices)
-
-
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency."""
 
@@ -60,24 +54,6 @@ class Graph:
         g = cls(n)
         for u, v in edges:
             g.add_edge(u, v)
-        return g
-
-    @classmethod
-    def from_adjacency(cls, adj: list[int]) -> "Graph":
-        """Wrap prebuilt adjacency masks, validating symmetry/irreflexivity."""
-        g = cls(len(adj))
-        n = g.n
-        full = (1 << n) - 1
-        for u, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row {u} references vertices >= {n}")
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-        for u, row in enumerate(adj):
-            for v in bits(row):
-                if not adj[v] >> u & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
-        g.adj = list(adj)
         return g
 
     def copy(self) -> "Graph":
@@ -124,18 +100,12 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.adj)))
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
-def induced_subgraph(
-    g: Graph, vertices: int | Iterable[int]
-) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by a vertex set, plus the old->new relabeling."""
-    mask = as_mask(vertices)
+def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced by a vertex mask, plus the old->new relabeling."""
     if mask & ~g.vertex_mask:
         raise ValueError("vertex set not contained in 0..n-1")
     keep = list(bits(mask))
@@ -150,24 +120,6 @@ def induced_subgraph(
     return sub, relabel
 
 
-def non_edges_between(
-    g: Graph, a: int | Iterable[int], b: int | Iterable[int]
-) -> list[tuple[int, int]]:
-    """Missing pairs of the bipartite complement between disjoint sets a, b."""
-    amask = as_mask(a)
-    bmask = as_mask(b)
-    if amask & bmask:
-        raise ValueError("vertex sets overlap")
-    if (amask | bmask) & ~g.vertex_mask:
-        raise ValueError("vertex set not contained in 0..n-1")
-    out = []
-    for u in bits(amask):
-        missing = bmask & ~g.adj[u]
-        for v in bits(missing):
-            out.append((u, v))
-    return out
-
-
 def first_edge_within(g: Graph, mask: int) -> tuple[int, int] | None:
     """Lexicographically first edge (u, v), u < v, with both ends in `mask`,
     or None when `mask` is independent.  The first vertex u with a neighbor
@@ -179,8 +131,8 @@ def first_edge_within(g: Graph, mask: int) -> tuple[int, int] | None:
     return None
 
 
-def is_independent(g: Graph, vertices: int | Iterable[int]) -> bool:
-    return first_edge_within(g, as_mask(vertices)) is None
+def is_independent(g: Graph, mask: int) -> bool:
+    return first_edge_within(g, mask) is None
 
 
 def neighborhood(adj: list[int], mask: int) -> int:
@@ -274,47 +226,6 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
         comps.append(comp)
         remaining &= ~comp
     return comps
-
-
-# ---------------------------------------------------------------------------
-# small graph factories
-
-
-def complete_graph(n: int) -> Graph:
-    g = Graph(n)
-    full = (1 << n) - 1
-    for v in range(n):
-        g.adj[v] = full & ~(1 << v)
-    return g
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b} with left side 0..a-1 and right side a..a+b-1."""
-    g = Graph(a + b)
-    left = (1 << a) - 1
-    right = ((1 << (a + b)) - 1) ^ left
-    for v in range(a):
-        g.adj[v] = right
-    for v in range(a, a + b):
-        g.adj[v] = left
-    return g
-
-
-def cycle_graph(n: int) -> Graph:
-    g = Graph(n)
-    if n >= 3:
-        for v in range(n):
-            g.add_edge(v, (v + 1) % n)
-    elif n == 2:
-        g.add_edge(0, 1)
-    return g
-
-
-def path_graph(n: int) -> Graph:
-    g = Graph(n)
-    for v in range(n - 1):
-        g.add_edge(v, v + 1)
-    return g
 
 
 def random_graph(n: int, p: float, rng) -> Graph:
@@ -470,48 +381,3 @@ def decode_graph6(text: str | bytes) -> Graph:
     g.adj = [int.from_bytes(packed[i: i + width], "little") for i in range(0, n * width, width)]
     return g
 
-
-# ---------------------------------------------------------------------------
-# plain edge-list text format: header "n m", then one "u v" line per edge
-
-
-def encode_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def decode_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise GraphFormatError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError("edge-list header must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad edge-list header: {exc}") from None
-    if n < 0:
-        raise GraphFormatError(f"negative vertex count in edge-list header: {n}")
-    if len(lines) - 1 != m:
-        raise GraphFormatError(
-            f"edge-list declares {m} edges but has {len(lines) - 1} edge lines"
-        )
-    g = Graph(n)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line: {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer vertex in edge line: {ln!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex out of range 0..{n - 1}: {ln!r}")
-        if u == v:
-            raise GraphFormatError(f"self-loop: {ln!r}")
-        if g.has_edge(u, v):
-            raise GraphFormatError(f"duplicate edge: {ln!r}")
-        g.add_edge(u, v)
-    return g

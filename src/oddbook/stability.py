@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bipartite import Biclique, CorePartition
 from .freeness import NotMaximalError, Witness, find_book_using_edge, _neighbor_orders
-from .graph import Graph, bits, first_edge_within, mask_of
+from .graph import Graph, bits, first_edge_within
 
 
 class NonEdgeClass(Enum):
@@ -129,9 +129,6 @@ class DeletionTrace:
     @property
     def anchor_violations(self) -> int:
         return sum(1 for st in self.steps if not st.anchored_both)
-
-    def deleted_masks(self) -> list[int]:
-        return [mask_of(st.deleted) for st in self.steps]
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,6 @@ from oddbook.bipartite import Biclique, BicliqueSearch
 from oddbook.graph import (
     Graph,
     GraphFormatError,
-    as_mask,
     bfs_layers,
     bits,
     mask_of,
@@ -639,20 +638,6 @@ def layout_masks_ref(layout) -> tuple[int, int, int, int]:
     return left, right, conn, middle
 
 
-def label_of_ref(layout, v: int) -> tuple:
-    for i in range(layout.pairs + 1):
-        if v in left_block_ref(layout, i):
-            return ("left", i)
-        if v in right_block_ref(layout, i):
-            return ("right", i)
-    for p in range(layout.s):
-        for q in range(layout.base):
-            rng = connector_ref(layout, p, q)
-            if v in rng:
-                return ("connector", p, q, v - rng.start + 1)
-    raise ValueError(f"vertex {v} outside layout")
-
-
 def _alternating_connector_sets_ref(layout) -> tuple[int, int]:
     k = layout.k
     set1 = 0
@@ -797,8 +782,9 @@ def find_parity_path_ref(
 
 
 def count_edges_between(g: Graph, a, b) -> int:
-    amask = as_mask(a)
-    bmask = as_mask(b)
+    """Edges between vertex sets a and b, each a mask or an iterable."""
+    amask = a if isinstance(a, int) else mask_of(a)
+    bmask = b if isinstance(b, int) else mask_of(b)
     if amask & bmask:
         raise ValueError("vertex sets overlap")
     return sum((g.adj[u] & bmask).bit_count() for u in bits(amask))
@@ -813,3 +799,40 @@ def bfs_distances(g: Graph, source: int, allowed: int | None = None) -> list[int
         for u in bits(layer):
             dist[u] = d
     return dist
+
+
+def complete_graph(n: int) -> Graph:
+    g = Graph(n)
+    full = (1 << n) - 1
+    for v in range(n):
+        g.adj[v] = full & ~(1 << v)
+    return g
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with left side 0..a-1 and right side a..a+b-1."""
+    g = Graph(a + b)
+    left = (1 << a) - 1
+    right = ((1 << (a + b)) - 1) ^ left
+    for v in range(a):
+        g.adj[v] = right
+    for v in range(a, a + b):
+        g.adj[v] = left
+    return g
+
+
+def cycle_graph(n: int) -> Graph:
+    g = Graph(n)
+    if n >= 3:
+        for v in range(n):
+            g.add_edge(v, (v + 1) % n)
+    elif n == 2:
+        g.add_edge(0, 1)
+    return g
+
+
+def path_graph(n: int) -> Graph:
+    g = Graph(n)
+    for v in range(n - 1):
+        g.add_edge(v, v + 1)
+    return g

@@ -239,7 +239,7 @@ def test_criterion_08_pipeline_postcondition():
         core, trace = deletion_pipeline(sat, part, 2, 2)
         good = validate_biclique(sat, core)
         union = 0
-        for m in trace.deleted_masks():
+        for m in (mask_of(st.deleted) for st in trace.steps):
             if m & union:
                 good = False
             union |= m

@@ -21,21 +21,21 @@ from oddbook.bipartite import (
 from oddbook.graph import (
     Graph,
     bits,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     is_independent,
     mask_of,
-    path_graph,
     random_graph,
     two_coloring,
 )
 from .oracles import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
     find_parity_path_ref,
     greedy_biclique_ref,
     longest_path_brute,
     max_biclique_brute,
     max_induced_complete_bipartite_ref,
+    path_graph,
     two_coloring_ref,
 )
 

@@ -5,8 +5,10 @@ import pytest
 
 from oddbook.cli import build_parser, main
 from oddbook.construction import BlockLayout
-from oddbook.graph import Graph, complete_bipartite, cycle_graph, decode_graph6, encode_graph6
+from oddbook.graph import Graph, decode_graph6, encode_graph6
 from oddbook.pattern import build_odd_book
+
+from .oracles import complete_bipartite, cycle_graph
 
 
 def _write_g6(path, g):
@@ -126,6 +128,43 @@ def test_alpha_rejects_floats():
     with pytest.raises(SystemExit) as exc:
         main(["construct", "-n", "64", "-s", "2", "-k", "2", "--alpha", "0.5x"])
     assert exc.value.code == 2
+
+
+def test_alpha_decimal_parses_exactly(tmp_path):
+    # a decimal string is parsed exactly, so 0.5 is the rational 1/2
+    for alpha in ("1/2", "0.5"):
+        out = tmp_path / alpha.replace("/", "_")
+        argv = ["construct", "-n", "64", "-s", "2", "-k", "2", "--alpha", alpha]
+        assert main(argv + ["-o", str(out)]) == 0
+    layouts = [(tmp_path / d / "construction_n64_s2_k2.layout.json").read_text()
+               for d in ("1_2", "0.5")]
+    assert layouts[0] == layouts[1]
+    assert json.loads(layouts[1])["alpha"] == "1/2"
+
+
+@pytest.mark.parametrize("alpha", ["-3", "0", "2/3"])
+def test_stability_refuses_alpha_outside_range(tmp_path, capsys, alpha):
+    g6 = _write_g6(tmp_path / "k99.g6", complete_bipartite(9, 9))
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in (g6, str(tmp_path / "missing.g6")):  # refused before the input is read
+        argv = ["stability", "-i", path, "-s", "2", "-k", "2", "--alpha", alpha]
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: alpha must lie in (0, 1/2]\n"
+        assert list(out.iterdir()) == []
+
+
+def test_stability_alpha_half_is_the_default(tmp_path):
+    g6 = _write_g6(tmp_path / "k99.g6", complete_bipartite(9, 9))
+    reports = []
+    for name, alpha in (("default", []), ("half", ["--alpha", "1/2"])):
+        argv = ["stability", "-i", g6, "-s", "2", "-k", "2", "-o", str(tmp_path / name)]
+        assert main(argv + alpha) == 0
+        report = json.loads((tmp_path / name / "stability.report.json").read_text())
+        del report["timings_ms"], report["outputs"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[1]["parameters"]["alpha"] == "1/2"
 
 
 def test_verify_freeness_pass(tmp_path, capsys):

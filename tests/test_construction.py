@@ -18,9 +18,14 @@ from oddbook.construction import (
     plan_layout,
     specified_edge_count,
 )
-from oddbook.graph import Graph, bits, complete_bipartite, is_independent, mask_of
+from oddbook.graph import Graph, bits, is_independent, mask_of
 
-from .oracles import certify_structure_ref, count_edges_between, label_of_ref, layout_masks_ref
+from .oracles import (
+    certify_structure_ref,
+    complete_bipartite,
+    count_edges_between,
+    layout_masks_ref,
+)
 
 
 def test_digit_zero():
@@ -118,16 +123,6 @@ def test_layout_parameter_validation():
         plan_layout(64, 2, 2, Fraction(2, 3))
 
 
-def test_layout_labels():
-    layout = plan_layout(64, 2, 2, Fraction(1, 2))
-    assert layout.label_of(0) == ("left", 0)
-    assert layout.label_of(16) == ("right", 0)
-    first_conn = layout.connector_vertex(0, 0, 1)
-    assert layout.label_of(first_conn) == ("connector", 0, 0, 1)
-    tail_v = layout.left_block(layout.pairs)[0]
-    assert layout.label_of(tail_v) == ("left", layout.pairs)
-
-
 def test_layout_json_roundtrip():
     layout = plan_layout(64, 2, 2, Fraction(1, 2))
     doc = layout.to_json()
@@ -174,7 +169,7 @@ def test_certificate_catches_injected_side_edge(min_member_64):
     g.add_edge(left[0], left[1])
     mutated = replace(min_member_64, graph=g)
     report = certify_structure(mutated)
-    fact = report.fact("left-with-mirror-set-independent")
+    fact = {f.name: f for f in report.facts}["left-with-mirror-set-independent"]
     assert not fact.ok
     assert set(fact.witness) == {left[0], left[1]}
 
@@ -182,10 +177,10 @@ def test_certificate_catches_injected_side_edge(min_member_64):
 def test_certificate_catches_deleted_connector_edge(min_member_64):
     g = min_member_64.graph.copy()
     layout = min_member_64.layout
-    g.delete_edge(layout.connector_vertex(0, 0, 1), layout.connector_vertex(0, 0, 2))
+    g.delete_edge(layout.connector(0, 0)[0], layout.connector(0, 0)[1])
     mutated = replace(min_member_64, graph=g)
     report = certify_structure(mutated)
-    assert not report.fact("connector-paths-exact").ok
+    assert not {f.name: f for f in report.facts}["connector-paths-exact"].ok
 
 
 def test_edge_bound_theorem_scale():
@@ -246,23 +241,23 @@ def test_certificate_matches_reference():
     # flips pairs at connector vertices, so the connector facts see violations
     rng = random.Random(5)
     for i, layout in enumerate(_feasible_layouts(100)):
+        connectors = mask_of(v for _, _, chain in layout.connectors() for v in chain)
         assert (
-            layout.left_mask(), layout.right_mask(),
-            layout.connector_mask(), layout.middle_mask(),
+            layout.left_mask(), layout.right_mask(), connectors, layout.middle_mask(),
         ) == layout_masks_ref(layout)
-        assert [layout.label_of(v) for v in range(layout.n)] == [
-            label_of_ref(layout, v) for v in range(layout.n)
-        ]
         result = build_min_member(layout)
         flipped = result.graph.copy()
-        ends = list(bits(layout.connector_mask())) if i % 2 else range(layout.n)
+        ends = list(bits(connectors)) if i % 2 else range(layout.n)
         for _ in range(rng.randint(1, 3)):
             u = rng.choice(ends)
             v = rng.choice([w for w in range(layout.n) if w != u])
             (flipped.delete_edge if flipped.has_edge(u, v) else flipped.add_edge)(u, v)
         for g in (result.graph, flipped):
             mutated = replace(result, graph=g)
-            got = json.loads(json.dumps(certify_structure(mutated).to_json()))
+            report = certify_structure(mutated)
+            got = json.loads(json.dumps(
+                {"ok": report.ok, "facts": [f.to_json() for f in report.facts]}
+            ))
             assert got == certify_structure_ref(mutated), (layout, g.adj)
 
 
@@ -309,4 +304,4 @@ def test_layout_json_rejects_bad_sizes(key, value, message):
 def test_min_member_rows_pass_validation():
     for n in range(64, 129):
         g = build_min_member(plan_layout(n, 2, 2, Fraction(1, 2))).graph
-        assert g == Graph.from_adjacency(g.adj)
+        assert g == Graph.from_edges(g.n, g.edges())

@@ -24,16 +24,13 @@ from oddbook.freeness import (
     saturate,
     validate_witness,
 )
-from oddbook.graph import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    random_graph,
-)
+from oddbook.graph import Graph, random_graph
 from oddbook.pattern import book_order
 from .oracles import (
+    complete_bipartite,
+    complete_graph,
     contains_book_naive,
+    cycle_graph,
     disjoint_page_pair_exists,
     find_book_using_edge_ref,
     find_pages_ref,

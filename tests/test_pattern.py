@@ -1,13 +1,6 @@
 import pytest
 
-from oddbook.graph import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    random_graph,
-    two_coloring,
-)
+from oddbook.graph import Graph, random_graph, two_coloring
 from oddbook.pattern import (
     book_order,
     book_size,
@@ -17,7 +10,13 @@ from oddbook.pattern import (
     odd_book_issues,
 )
 
-from .oracles import bfs_distances, chromatic_number_brute
+from .oracles import (
+    bfs_distances,
+    chromatic_number_brute,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+)
 
 
 def test_single_page_is_odd_cycle():

@@ -6,7 +6,7 @@ import pytest
 from oddbook.bipartite import CorePartition, build_uvt_partition, validate_biclique
 from oddbook.construction import build_min_member, plan_layout
 from oddbook.freeness import NotMaximalError, is_book_free, saturate
-from oddbook.graph import bits, complete_bipartite, mask_of, random_graph
+from oddbook.graph import bits, mask_of, random_graph
 from oddbook.pattern import book_order, build_odd_book
 from oddbook.stability import (
     NonEdgeClass,
@@ -14,6 +14,7 @@ from oddbook.stability import (
     classify_non_edge,
     deletion_pipeline,
 )
+from .oracles import complete_bipartite
 
 
 def _book_host_without(s, k, edge):
@@ -152,9 +153,8 @@ def test_pipeline_trace_invariants(rng):
         part, _ = build_uvt_partition(sat, h=book_order(2, 2), seed=1)
         core, trace = deletion_pipeline(sat, part, 2, 2)
         assert validate_biclique(sat, core)
-        masks = trace.deleted_masks()
         union = 0
-        for m in masks:
+        for m in (mask_of(st.deleted) for st in trace.steps):
             assert not (m & union)
             union |= m
         assert not (union & core.vertices)
@@ -173,7 +173,7 @@ def test_larger_construction_exercises_anchored_deletions():
     sat, _ = saturate(result.graph, 2, 2)
     part, ptrace = build_uvt_partition(sat, h=8, seed=0)
     assert ptrace.method == "transversal"
-    assert part.exceptional == layout.connector_mask()
+    assert part.exceptional == mask_of(v for _, _, chain in layout.connectors() for v in chain)
     core, trace = deletion_pipeline(sat, part, 2, 2)
     assert validate_biclique(sat, core)
     assert trace.anchor_violations == 0
