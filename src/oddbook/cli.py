@@ -217,9 +217,10 @@ def cmd_verify(args) -> int:
     if "certificate" in args.check and not args.layout:
         raise ValueError("--layout is required for the certificate check")
     g = _read_graph(args.input)
+    checks = list(dict.fromkeys(args.check))  # each check once, in first-given order
     params = {
         "input": args.input,
-        "checks": args.check,
+        "checks": checks,
         "s": args.s,
         "k": args.k,
         "budget": args.budget,
@@ -227,7 +228,7 @@ def cmd_verify(args) -> int:
     report = new_report("verify", params)
     report["counts"] = {"n": g.n, "edges": g.num_edges()}
 
-    for check in args.check:
+    for check in checks:
         if check == "freeness":
             with Timer(report, "freeness"):
                 free, witness = is_book_free(g, args.s, args.k)

@@ -17,7 +17,8 @@ and layered cut bounds and a cut at a vertex every page must use in
 only branches that cannot succeed, so verdicts and first witnesses are
 those of the unpruned search.  The search state `_Orders` (sorted rows,
 degrees, degree and walk masks) is built once per graph and, in
-`saturate`, updated in place as edges are added.
+`saturate`, updated in place by `_Orders.add_edge`, which adds the edge
+and regrows only the walk masks that the edge can change.
 """
 
 from __future__ import annotations
@@ -125,27 +126,33 @@ class _Orders(dict):
     `orders[v]` lists the neighbors of v in ascending (degree, id) order, the
     order every search visits them in.  A row is sorted when a search first
     reads it, because a search that stops early reads few rows.  `deg` holds
-    the degrees; walk masks are memoised per goal and degree masks per bound.
-    The object reads the graph's adjacency list in place, so after the graph
-    gains an edge call `edge_added` before the next search.  A caller that
-    sets `deg` to all zeros before the first read gets rows in ascending id
-    order instead; it must then call neither `edge_added` nor `high`.
+    the degrees and `_rank` the key deg * n + id, in (degree, id) order; walk
+    masks are memoised per goal and degree masks per bound.  The object
+    reads the graph's adjacency list in place; `add_edge` adds an edge to
+    it.  A caller that sets `deg` to all zeros before the first read gets
+    rows in ascending id order instead; it must then call neither
+    `add_edge` nor `high`.
 
-    `edge_added` updates the state in place to what a fresh one would be.
-    An added edge uv changes the key (degree, id) of u and v alone, and only
-    the rows of N(u) | N(v) hold them, so moving u and v within those lists
-    keeps every cached row sorted.  A degree crosses a bound at most once.
-    Walks are only gained, so walk masks only grow: W'_0 = W_0 and
-    W'_{d+1} = N'(W'_d) = W_{d+1} | N'(W'_d - W_d) | the crossings of uv
-    from W'_d, where N' is the neighborhood with uv.
+    `add_edge` leaves the state equal to a fresh one of the new graph.  An
+    added edge uv changes the key of u and v alone, and only the rows of
+    N(u) | N(v) hold them, so moving u and v within those lists keeps every
+    cached row sorted.  A degree crosses a bound at most once.  Walks are
+    only gained, so walk masks only grow: W'_0 = W_0 and W'_{d+1} =
+    N'(W'_d) = W_{d+1} | N'(W'_d - W_d) | the crossings of uv from W'_d,
+    where N' is the neighborhood with uv.  Walks reverse (x in W_d(y) iff
+    y in W_d(x)), so only the goals in the union over d of
+    (W_{d-1}(u) - W_d(v)) | (W_{d-1}(v) - W_d(u)) change: at the lowest
+    depth d where a goal g's masks change, nothing was gained below, so v
+    entered W_d(g) from u in W_{d-1}(g), or u from v.
     """
 
-    __slots__ = ("adj", "deg", "_walks", "_high")
+    __slots__ = ("adj", "deg", "_rank", "_walks", "_high")
 
     def __init__(self, g: Graph):
         super().__init__()
         self.adj = g.adj
         self.deg = [row.bit_count() for row in g.adj]
+        self._rank = [d * g.n + z for z, d in enumerate(self.deg)]
         self._walks: dict[int, list[int]] = {}
         self._high: dict[int, int] = {}
 
@@ -171,24 +178,35 @@ class _Orders(dict):
             self._high[s] = mask_of(v for v, d in enumerate(self.deg) if d > s)
         return self._high[s]
 
-    def edge_added(self, u: int, v: int) -> None:
-        """Catch up with the new edge uv: raise the degree of u, then of v,
-        add it to the degree masks it now passes, and move it right in the
-        cached rows that hold it (every other key there is current); the row
-        of the other end gains it.  Then grow every memoised walk mask."""
-        deg, adj, high = self.deg, self.adj, self._high
+    def add_edge(self, u: int, v: int) -> None:
+        """Add the non-edge uv to the graph and catch up: from the old masks
+        of u and v, find the goals whose walk masks change; set the two
+        adjacency bits; raise the degree of u, then of v, add it to the
+        degree masks it now passes, and move it right in the cached rows
+        that hold it (every other key there is current; the row of the
+        other end gains it); then grow the walk masks of those goals."""
+        deg, adj, high, rank, memo = self.deg, self.adj, self._high, self._rank, self._walks
+        top = max(map(len, memo.values()), default=1) - 1
+        stale = 0
+        if top:
+            wu, wv = self.walks(u, top), self.walks(v, top)
+            for d in range(1, top + 1):
+                stale |= wu[d - 1] & ~wv[d] | wv[d - 1] & ~wu[d]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
         for x, y in ((u, v), (v, u)):
             if deg[x] in high:  # the new degree passes the bound s = deg[x]
                 high[deg[x]] |= 1 << x
             deg[x] += 1
-            key = (deg[x], x)
+            rank[x] += len(adj)
             for w in bits(adj[x]):
                 row = self.get(w)
                 if row is not None:
                     if w != y:
                         row.remove(x)
-                    row.insert(bisect_left(row, key, key=lambda z: (deg[z], z)), x)
-        for masks in self._walks.values():
+                    row.insert(bisect_left(row, rank[x], key=rank.__getitem__), x)
+        for goal in bits(stale):
+            masks = memo.get(goal, ())  # a goal never read has no masks
             gained = 0  # W'_{d-1} - W_{d-1}
             for d in range(1, len(masks)):
                 below = masks[d - 1]
@@ -361,10 +379,10 @@ def _find_pages(orders, h1, h2, count, length, banned):
 
 
 def _witness(s, k, hub1, hub2, pages, anchor, probe) -> Witness:
-    mapping = [hub1, hub2]
+    mapping = (hub1, hub2)
     for page in pages:
-        mapping.extend(page)
-    return Witness(s=s, k=k, mapping=tuple(mapping), anchor=anchor, probe=probe)
+        mapping += page
+    return Witness(s, k, mapping, anchor, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +557,6 @@ def saturate(g: Graph, s: int, k: int) -> tuple[Graph, list[tuple[int, int]]]:
     added: list[tuple[int, int]] = []
     for u, v in non_edges:
         if find_book_using_edge(out, u, v, s, k, _orders=orders) is None:
-            out.add_edge(u, v)
+            orders.add_edge(u, v)
             added.append((u, v))
-            orders.edge_added(u, v)
     return out, added

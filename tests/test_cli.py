@@ -247,6 +247,17 @@ def test_parser_is_reused_without_carrying_state(tmp_path):
     assert len(names) == 1
 
 
+def test_verify_runs_each_check_once(tmp_path):
+    g6 = _write_g6(tmp_path / "c5.g6", cycle_graph(5))
+    out = tmp_path / "report.json"
+    assert main(["verify", "-i", g6, "--check", "freeness", "--check", "biclique",
+                 "--check", "freeness", "--check", "biclique", "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["name"] for c in report["checks"]] == ["freeness", "biclique"]
+    assert report["parameters"]["checks"] == ["freeness", "biclique"]
+    assert list(report["timings_ms"]) == ["freeness", "biclique"]
+
+
 def test_verify_unknown_check_rejected(tmp_path):
     g6 = _write_g6(tmp_path / "c5.g6", cycle_graph(5))
     with pytest.raises(SystemExit) as exc:

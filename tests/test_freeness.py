@@ -24,7 +24,7 @@ from oddbook.freeness import (
     saturate,
     validate_witness,
 )
-from oddbook.graph import Graph, random_graph
+from oddbook.graph import Graph, mask_of, random_graph
 from oddbook.pattern import book_order
 from .oracles import (
     complete_bipartite,
@@ -532,8 +532,7 @@ def test_incremental_orders_match_fresh(rng):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
         rng.shuffle(pairs)
         for u, v in pairs[:6]:
-            g.add_edge(u, v)
-            orders.edge_added(u, v)
+            orders.add_edge(u, v)
             fresh = _neighbor_orders(g)
             assert [orders[w] for w in range(n)] == [fresh[w] for w in range(n)]
             assert orders.deg == fresh.deg
@@ -560,8 +559,7 @@ def test_incremental_upkeep_matches_fresh_state(seed, sk):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
     rng.shuffle(pairs)
     for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
-        g.add_edge(u, v)
-        orders.edge_added(u, v)
+        orders.add_edge(u, v)
         fresh = _neighbor_orders(g)
         assert dict(orders) == {w: fresh[w] for w in range(n)}
         assert orders.deg == fresh.deg
@@ -570,6 +568,76 @@ def test_incremental_upkeep_matches_fresh_state(seed, sk):
         for goal, masks in orders._walks.items():
             assert len(masks) == 2 * k
             assert masks == fresh.walks(goal, 2 * k - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 3))
+def test_add_edge_matches_fresh_state_at_mixed_depths(seed, k):
+    """Before each added edge a random set of goals is memoised, each at a
+    depth in 0..2k-1, and a random set of rows and degree bounds is read,
+    so some goals, rows and bounds are never read and the ends of the pair
+    are often not memoised.  After the edge, every row, degree, rank,
+    degree mask and walk mask held equals a fresh state's."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 16)
+    g = random_graph(n, rng.uniform(0.05, 0.6), rng)
+    ref = g.copy()
+    orders = _neighbor_orders(g)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    rng.shuffle(pairs)
+    for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
+        for w in range(n):
+            if rng.random() < 0.4:
+                orders.walks(w, rng.randrange(2 * k))
+            if rng.random() < 0.4:
+                orders[w]
+        orders.high(rng.randrange(4))
+        orders.add_edge(u, v)
+        ref.add_edge(u, v)
+        assert g == ref
+        fresh = _neighbor_orders(ref)
+        assert dict(orders) == {w: fresh[w] for w in orders}
+        assert (orders.deg, orders._rank) == (fresh.deg, fresh._rank)
+        assert orders._high == {t: fresh.high(t) for t in orders._high}
+        for goal, masks in orders._walks.items():
+            assert masks == fresh.walks(goal, len(masks) - 1)
+
+
+def _walk_masks_ref(adj, goal, depth):
+    """W_0..W_depth of `goal`, recomputed one vertex at a time."""
+    masks = [1 << goal]
+    for _ in range(depth):
+        layer = 0
+        for x in range(len(adj)):
+            if masks[-1] >> x & 1:
+                layer |= adj[x]
+        masks.append(layer)
+    return masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_added_edge_changes_exactly_the_filtered_goals(seed):
+    """The goals whose masks W_0..W_D differ between G and G+uv are exactly
+    the union over 1 <= d <= D of (W_{d-1}(u) - W_d(v)) | (W_{d-1}(v) -
+    W_d(u)), with the masks of u and v taken in G: the filter misses no goal
+    that changes and keeps none that does not."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 16)
+    g = random_graph(n, rng.uniform(0.05, 0.7), rng)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    if not non_edges:
+        return
+    u, v = rng.choice(non_edges)
+    depth = rng.randrange(6)
+    h = g.copy()
+    h.add_edge(u, v)
+    before = [_walk_masks_ref(g.adj, x, depth) for x in range(n)]
+    changed = mask_of(x for x in range(n) if before[x] != _walk_masks_ref(h.adj, x, depth))
+    filtered = 0
+    for d in range(1, depth + 1):
+        filtered |= before[u][d - 1] & ~before[v][d] | before[v][d - 1] & ~before[u][d]
+    assert changed == filtered
 
 
 def _runs(u, lo, hi):
