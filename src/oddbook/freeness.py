@@ -24,8 +24,8 @@ and regrows only the walk masks that the edge can change.
 from __future__ import annotations
 
 import functools
+import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of, neighborhood
@@ -527,9 +527,12 @@ def is_maximal_book_free(
 ) -> tuple[bool, list[tuple[int, int]]]:
     """Every non-edge must create a copy when added; failing non-edges are
     returned in lexicographic order.  Raises NotBookFreeError if the input
-    already contains the pattern."""
+    already contains the pattern.  At most one process per CPU probes; the
+    pool is imported only when more than one runs."""
     orders, non_edges = _free_non_edges(g, s, k)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(non_edges) > 4 * workers:
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [
             (g, s, k, non_edges[i::workers], None) for i in range(workers)
         ]

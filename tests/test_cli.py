@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -214,7 +217,8 @@ def test_verify_maximality_failure_lists_non_edges(tmp_path):
 
 
 # K_{4,4} has 12 non-edges, more than 4 per worker, so "--workers 2" runs
-# its probes in the process pool; the other inputs stay serial
+# its probes in the process pool on a host of two or more CPUs; the other
+# inputs stay serial
 @pytest.mark.parametrize("g, rc, details, workers", [
     (complete_bipartite(4, 4), 0, {"failing_non_edges": []}, []),
     (cycle_graph(5), 1, {"failing_non_edges": C5_NON_EDGES}, []),
@@ -233,6 +237,18 @@ def test_verify_maximality_check_entry(tmp_path, capsys, g, rc, details, workers
     report = json.loads(out.read_text())
     assert report["checks"] == [{"name": "maximality", "pass": rc == 0, "details": details}]
     assert list(report["timings_ms"]) == ["maximality"]
+
+
+def test_import_loads_no_process_pool():
+    # the pool and its modules load only when --workers runs more than one process
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import oddbook, oddbook.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_parser_is_reused_without_carrying_state(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import random
@@ -345,6 +346,25 @@ def test_parallel_probes_agree(min_member_64):
     serial = is_maximal_book_free(min_member_64.graph, 2, 2)
     parallel = is_maximal_book_free(min_member_64.graph, 2, 2, workers=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("workers, cpus", [(2, 1), (10 ** 6, 1), (2, None)])
+def test_workers_bounded_by_cpu_count(monkeypatch, min_member_64, workers, cpus):
+    # at most one process per CPU: on one CPU (or an unknown count) the
+    # serial path probes every non-edge and no pool is started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    g = min_member_64.graph
+    serial = is_maximal_book_free(g, 2, 2)
+    calls = []
+    probe = freeness._probe_chunk
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(freeness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(freeness, "_probe_chunk",
+                        lambda args: calls.append(len(args[3])) or probe(args))
+    assert is_maximal_book_free(g, 2, 2, workers=workers) == serial
+    assert calls == [g.n * (g.n - 1) // 2 - g.num_edges()]
 
 
 # ---------------------------------------------------------------------------
