@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freeness import _iter_paths, _Orders
+from .freeness import _iter_paths, _Orders, check_search_order
 from .graph import (
     Graph,
     bits,
@@ -41,8 +41,8 @@ class Biclique:
 
     def to_json(self) -> dict:
         return {
-            "left": sorted(bits(self.left)),
-            "right": sorted(bits(self.right)),
+            "left": list(bits(self.left)),
+            "right": list(bits(self.right)),
             "size": self.size,
         }
 
@@ -184,8 +184,11 @@ def max_induced_complete_bipartite(
     output: these choices change the cost of a node, never which nodes are
     visited.  When the node budget runs out the
     incumbent is returned with optimal=False and upper_bound covering every
-    open node.
+    open node.  Hosts above MAX_SEARCH_ORDER vertices are refused: the
+    budget bounds only the branch and bound, and the greedy seed before it
+    grows about as n^3.
     """
+    check_search_order(g.n)
     if g.n == 0:
         return BicliqueSearch(
             best=Biclique(0, 0), optimal=True, nodes=0, upper_bound=0, budget=budget
@@ -266,9 +269,9 @@ class CorePartition:
 
     def to_json(self) -> dict:
         return {
-            "left": sorted(bits(self.left)),
-            "right": sorted(bits(self.right)),
-            "exceptional": sorted(bits(self.exceptional)),
+            "left": list(bits(self.left)),
+            "right": list(bits(self.right)),
+            "exceptional": list(bits(self.exceptional)),
             "h": self.h,
         }
 

@@ -28,7 +28,6 @@ from .construction import (
     check_alpha,
     edge_bound_check,
     plan_layout,
-    specified_edge_count,
 )
 from .freeness import (
     NotBookFreeError,
@@ -46,7 +45,7 @@ from .pattern import (
     is_color_critical_edge,
     odd_book_issues,
 )
-from .reports import Timer, add_check, all_checks_pass, new_report, write_json
+from .reports import add_check, all_checks_pass, new_report, timed, write_json
 from .stability import bound_report, deletion_pipeline
 
 EXIT_OK = 0
@@ -100,7 +99,7 @@ def _check_maximality(report: dict, name: str, timer: str, g, args) -> str | Non
     A failure lists at most 50 addable non-edges, or the first copy when g
     holds the pattern; returns its one-line message, or None on a pass."""
     try:
-        with Timer(report, timer):
+        with timed(report, timer):
             maximal, failing = is_maximal_book_free(
                 g, args.s, args.k, workers=args.workers
             )
@@ -114,6 +113,25 @@ def _check_maximality(report: dict, name: str, timer: str, g, args) -> str | Non
     return f"input is not maximal: {len(failing)} addable non-edges, first {failing[0]}"
 
 
+def _check_certificate(report: dict, name: str, result: ConstructionResult) -> bool:
+    """Add check `name`: result's graph has the structure its layout
+    specifies, timed as `certificate`.  Its `details` list every fact with
+    its first violation as witness; returns whether all facts hold."""
+    with timed(report, "certificate"):
+        cert = certify_structure(result)
+    add_check(report, name, cert.ok, facts=[f.to_json() for f in cert.facts])
+    return cert.ok
+
+
+def _check_biclique(report: dict, name: str, timer: str, g, budget: int):
+    """Add check `name`: the exact maximum induced biclique of g, timed as
+    `timer` and re-validated outside the search; returns the search."""
+    with timed(report, timer):
+        search = max_induced_complete_bipartite(g, budget=budget)
+    add_check(report, name, validate_biclique(g, search.best), **search.to_json())
+    return search
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -124,7 +142,7 @@ def cmd_pattern(args) -> int:
     book = build_odd_book(args.s, args.k)
     issues = odd_book_issues(book)
     add_check(report, "structure", not issues, issues=issues)
-    with Timer(report, "coloring"):
+    with timed(report, "coloring"):
         chi = chromatic_number(book.graph)
         critical = is_color_critical_edge(book)
     add_check(report, "three-chromatic", chi == 3, chromatic_number=chi)
@@ -159,7 +177,7 @@ def cmd_construct(args) -> int:
     }
     report = new_report("construct", params)
     layout = plan_layout(args.n, args.s, args.k, args.alpha)
-    with Timer(report, "build"):
+    with timed(report, "build"):
         result = build_min_member(layout)
     actual_edges = result.graph.num_edges()
     add_check(
@@ -169,11 +187,7 @@ def cmd_construct(args) -> int:
         specified=result.specified_edge_count,
         enumerated=actual_edges,
     )
-    with Timer(report, "certificate"):
-        cert = certify_structure(result)
-    add_check(report, "structure-certificate", cert.ok, **{
-        f.name: f.ok for f in cert.facts
-    })
+    cert_ok = _check_certificate(report, "structure-certificate", result)
     bound = edge_bound_check(result)
     add_check(report, "edge-bound", bound.holds or not bound.theorem_scale,
               **bound.to_json())
@@ -196,7 +210,7 @@ def cmd_construct(args) -> int:
     }
 
     if args.saturate:
-        with Timer(report, "saturate"):
+        with timed(report, "saturate"):
             sat, added = saturate(result.graph, args.s, args.k)
         _check_maximality(report, "saturated-maximal", "maximality", sat, args)
         report["counts"]["saturated_edges"] = sat.num_edges()
@@ -209,7 +223,7 @@ def cmd_construct(args) -> int:
     _emit(report, str(outdir / f"{stem}.report.json"))
     print(f"construction n={args.n} s={args.s} k={args.k} alpha={args.alpha}: "
           f"{result.specified_edge_count} specified edges, certificate "
-          f"{'ok' if cert.ok else 'FAILED'}")
+          f"{'ok' if cert_ok else 'FAILED'}")
     return EXIT_OK if all_checks_pass(report) else EXIT_CHECK_FAILED
 
 
@@ -230,29 +244,19 @@ def cmd_verify(args) -> int:
 
     for check in checks:
         if check == "freeness":
-            with Timer(report, "freeness"):
+            with timed(report, "freeness"):
                 free, witness = is_book_free(g, args.s, args.k)
             add_check(report, "freeness", free,
                       witness=witness.to_json() if witness else None)
         elif check == "maximality":
             _check_maximality(report, "maximality", "maximality", g, args)
         elif check == "biclique":
-            with Timer(report, "biclique"):
-                search = max_induced_complete_bipartite(g, budget=args.budget)
-            valid = validate_biclique(g, search.best)
-            add_check(report, "biclique", valid, **search.to_json())
+            _check_biclique(report, "biclique", "biclique", g, args.budget)
         elif check == "certificate":
             layout = BlockLayout.from_json(
                 json.loads(Path(args.layout).read_text())
             )
-            result = ConstructionResult(
-                graph=g, layout=layout,
-                specified_edge_count=specified_edge_count(layout),
-            )
-            with Timer(report, "certificate"):
-                cert = certify_structure(result)
-            add_check(report, "certificate", cert.ok,
-                      facts=[f.to_json() for f in cert.facts])
+            _check_certificate(report, "certificate", ConstructionResult(g, layout))
 
     _emit(report, args.out)
     return EXIT_OK if all_checks_pass(report) else EXIT_CHECK_FAILED
@@ -278,9 +282,9 @@ def cmd_stability(args) -> int:
         print(problem, file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    with Timer(report, "partition"):
+    with timed(report, "partition"):
         part, _ = build_uvt_partition(g, h, seed=args.seed)
-    with Timer(report, "pipeline"):
+    with timed(report, "pipeline"):
         core, trace = deletion_pipeline(g, part, args.s, args.k)
     core_ok = validate_biclique(g, core)
     add_check(report, "core-induced-complete-bipartite", core_ok,
@@ -312,10 +316,7 @@ def cmd_stability(args) -> int:
 def cmd_max_bipartite(args) -> int:
     g = _read_graph(args.input)
     report = new_report("max-bipartite", {"input": args.input, "budget": args.budget})
-    with Timer(report, "search"):
-        search = max_induced_complete_bipartite(g, budget=args.budget)
-    valid = validate_biclique(g, search.best)
-    add_check(report, "biclique-valid", valid, **search.to_json())
+    search = _check_biclique(report, "biclique-valid", "search", g, args.budget)
     report["counts"] = {
         "n": g.n,
         "edges": g.num_edges(),

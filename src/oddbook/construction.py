@@ -254,17 +254,17 @@ def plan_layout(n: int, s: int, k: int, alpha: Fraction | str) -> BlockLayout:
 class ConstructionResult:
     graph: Graph
     layout: BlockLayout
-    specified_edge_count: int
 
-
-def specified_edge_count(layout: BlockLayout) -> int:
-    """Closed-form edge count of the minimum member."""
-    left_total = layout.pairs * layout.block_size + layout.left_tail_size
-    right_total = layout.pairs * layout.block_size + layout.right_tail_size
-    cross = left_total * right_total - layout.pairs * layout.block_size ** 2
-    path_edges = layout.connector_count * (2 * layout.k - 2)
-    attach = 2 * layout.connector_count * layout.base ** (layout.s - 1) * layout.block_size
-    return cross + path_edges + attach
+    @property
+    def specified_edge_count(self) -> int:
+        """Closed-form edge count of the layout's minimum member."""
+        layout = self.layout
+        left_total = layout.pairs * layout.block_size + layout.left_tail_size
+        right_total = layout.pairs * layout.block_size + layout.right_tail_size
+        cross = left_total * right_total - layout.pairs * layout.block_size ** 2
+        path_edges = layout.connector_count * (2 * layout.k - 2)
+        attach = 2 * layout.connector_count * layout.base ** (layout.s - 1) * layout.block_size
+        return cross + path_edges + attach
 
 
 def build_min_member(layout: BlockLayout) -> ConstructionResult:
@@ -299,9 +299,7 @@ def build_min_member(layout: BlockLayout) -> ConstructionResult:
     # every edge was set in both rows, so the rows need no validation
     g = Graph(layout.n)
     g.adj = adj
-    return ConstructionResult(
-        graph=g, layout=layout, specified_edge_count=specified_edge_count(layout)
-    )
+    return ConstructionResult(graph=g, layout=layout)
 
 
 # ---------------------------------------------------------------------------

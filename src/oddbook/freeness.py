@@ -220,7 +220,7 @@ def _neighbor_orders(g: Graph) -> _Orders:
 
 
 def _iter_paths(orders, start, goal, length, banned):
-    """Yield interior tuples of start-goal paths with exactly `length` edges.
+    """Yield interior tuples of start-goal paths with exactly `length` >= 1 edges.
 
     Interiors avoid `banned`; start and goal are excluded automatically.
     Exhaustive depth-first search; neighbor order gives determinism.  The
@@ -239,8 +239,6 @@ def _iter_paths(orders, start, goal, length, banned):
       path.  Those neighbors are w's own candidates, so the test costs no
       extra work.
     """
-    if length < 1:
-        return
     adj = orders.adj
     if length == 1:
         if adj[start] >> goal & 1:

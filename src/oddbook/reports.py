@@ -7,6 +7,7 @@ for humans and excluded from any determinism guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -45,18 +46,12 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
-class Timer:
-    """Context manager recording wall time into report['timings_ms']."""
-
-    def __init__(self, report: dict, name: str):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        elapsed = (time.perf_counter() - self.start) * 1000.0
-        self.report["timings_ms"][self.name] = round(elapsed, 3)
-        return False
+@contextlib.contextmanager
+def timed(report: dict, name: str):
+    """Record the block's wall time in report['timings_ms'][name], also
+    when the block raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        report["timings_ms"][name] = round((time.perf_counter() - start) * 1000.0, 3)

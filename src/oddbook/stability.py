@@ -39,7 +39,11 @@ class ClassifiedNonEdge:
     cls: NonEdgeClass
     anchors_left: tuple[int, ...]   # exceptional-set witness-neighbors of x
     anchors_right: tuple[int, ...]  # exceptional-set witness-neighbors of y
-    anchored_both: bool             # the theorem-scale anchoring property
+
+    @property
+    def anchored_both(self) -> bool:
+        """The theorem-scale anchoring property: both endpoints are anchored."""
+        return bool(self.anchors_left) and bool(self.anchors_right)
 
 
 def classify_non_edge(
@@ -88,28 +92,32 @@ def classify_non_edge(
         cls=cls,
         anchors_left=anchors_x,
         anchors_right=anchors_y,
-        anchored_both=bool(anchors_x) and bool(anchors_y),
     )
 
 
 @dataclass
 class DeletionStep:
-    kind: str  # "cross-non-edge" or "intra-side-edge"
     probe: tuple[int, int]
     deleted: tuple[int, ...]
-    cls: NonEdgeClass | None = None
-    anchors_left: tuple[int, ...] = ()
-    anchors_right: tuple[int, ...] = ()
+    info: ClassifiedNonEdge | None = None  # None for an intra-side edge
     candidate_sizes: tuple[int, int] = (0, 0)
-    anchored_both: bool = True
+
+    @property
+    def kind(self) -> str:
+        return "intra-side-edge" if self.info is None else "cross-non-edge"
+
+    @property
+    def anchored_both(self) -> bool:
+        return self.info is None or self.info.anchored_both
 
     def to_json(self) -> dict:
+        info = self.info
         return {
             "kind": self.kind,
             "probe": list(self.probe),
-            "class": self.cls.value if self.cls else None,
-            "anchors_left": list(self.anchors_left),
-            "anchors_right": list(self.anchors_right),
+            "class": info.cls.value if info else None,
+            "anchors_left": list(info.anchors_left) if info else [],
+            "anchors_right": list(info.anchors_right) if info else [],
             "candidate_sizes": list(self.candidate_sizes),
             "deleted": list(self.deleted),
             "anchored_both": self.anchored_both,
@@ -132,8 +140,8 @@ class DeletionTrace:
 
     def to_json(self) -> dict:
         return {
-            "initial_left": sorted(bits(self.initial_left)),
-            "initial_right": sorted(bits(self.initial_right)),
+            "initial_left": list(bits(self.initial_left)),
+            "initial_right": list(bits(self.initial_right)),
             "deleted_total": self.deleted_total,
             "anchor_violations": self.anchor_violations,
             "steps": [st.to_json() for st in self.steps],
@@ -173,9 +181,7 @@ def deletion_pipeline(
             dv = (g.adj[v] & sides[i]).bit_count()
             drop = u if du >= dv else v
             sides[i] &= ~(1 << drop)
-            trace.steps.append(
-                DeletionStep(kind="intra-side-edge", probe=(u, v), deleted=(drop,))
-            )
+            trace.steps.append(DeletionStep(probe=(u, v), deleted=(drop,)))
 
     while (hit := _first_cross_non_edge(g, *sides)) is not None:
         x, y = hit
@@ -195,18 +201,7 @@ def deletion_pipeline(
             )
         i = 0 if sizes[0] <= sizes[1] else 1
         sides[i] &= ~cands[i]
-        trace.steps.append(
-            DeletionStep(
-                kind="cross-non-edge",
-                probe=hit,
-                deleted=tuple(bits(cands[i])),
-                cls=info.cls,
-                anchors_left=info.anchors_left,
-                anchors_right=info.anchors_right,
-                candidate_sizes=sizes,
-                anchored_both=info.anchored_both,
-            )
-        )
+        trace.steps.append(DeletionStep(hit, tuple(bits(cands[i])), info, sizes))
 
     return Biclique(left=sides[0], right=sides[1]), trace
 

@@ -184,6 +184,13 @@ def test_edgeless_graph_is_one_sided():
     assert search.best.size == 5
 
 
+def test_biclique_search_size_guard():
+    # the budget bounds only the branch and bound, not the greedy seed
+    with pytest.raises(ValueError, match=r"^exhaustive search refused for n=513 > 512$"):
+        max_induced_complete_bipartite(Graph(513))
+    assert max_induced_complete_bipartite(Graph(512)).best.size == 512
+
+
 # ---------------------------------------------------------------------------
 # partition machinery
 

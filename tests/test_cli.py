@@ -198,6 +198,15 @@ def test_verify_biclique_optimum(tmp_path):
     assert details["optimal"]
 
 
+@pytest.mark.parametrize("argv", [["max-bipartite"], ["verify", "--check", "biclique"]])
+def test_biclique_search_refuses_hosts_over_search_limit(tmp_path, capsys, argv):
+    g6 = _write_g6(tmp_path / "empty513.g6", Graph(513))
+    out = tmp_path / "report.json"
+    assert main([*argv, "-i", g6, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: exhaustive search refused for n=513 > 512\n"
+    assert not out.exists()
+
+
 def test_verify_maximality_failure_lists_non_edges(tmp_path):
     g6 = _write_g6(tmp_path / "empty.g6", Graph(7))
     out = tmp_path / "report.json"
@@ -308,6 +317,23 @@ def _construct(tmp_path, n):
     assert main(["construct", "-n", str(n), "-s", "2", "-k", "2", "-o", str(tmp_path)]) == 0
     return (tmp_path / f"construction_n{n}_s2_k2.g6",
             tmp_path / f"construction_n{n}_s2_k2.layout.json")
+
+
+def test_construct_and_verify_write_one_certificate_check(tmp_path):
+    # both commands list every fact with its witness, in one shape
+    g6, layout = _construct(tmp_path, 64)
+    built = json.loads((tmp_path / "construction_n64_s2_k2.report.json").read_text())
+    out = tmp_path / "verify.json"
+    assert main(["verify", "-i", str(g6), "--check", "certificate",
+                 "--layout", str(layout), "-o", str(out)]) == 0
+    verified = json.loads(out.read_text())
+    (made,) = [c for c in built["checks"] if c["name"] == "structure-certificate"]
+    (checked,) = verified["checks"]
+    assert checked["name"] == "certificate"
+    assert made["details"] == checked["details"]
+    assert [f["witness"] for f in made["details"]["facts"]] == [None] * 6
+    assert "certificate" in built["timings_ms"]
+    assert list(verified["timings_ms"]) == ["certificate"]
 
 
 def test_verify_certificate_layout_of_another_order(tmp_path, capsys):

@@ -16,7 +16,6 @@ from oddbook.construction import (
     edge_bound_check,
     integer_root,
     plan_layout,
-    specified_edge_count,
 )
 from oddbook.graph import Graph, bits, is_independent, mask_of
 
@@ -196,9 +195,7 @@ def test_edge_bound_complete_bipartite():
     # a balanced complete bipartite graph trivially exceeds the threshold
     layout = plan_layout(64, 2, 2, Fraction(1, 2))
     g = complete_bipartite(32, 32)
-    result = ConstructionResult(
-        graph=g, layout=layout, specified_edge_count=specified_edge_count(layout)
-    )
+    result = ConstructionResult(graph=g, layout=layout)
     report = edge_bound_check(result)
     assert report.holds
     assert report.margin_low >= 0

@@ -115,7 +115,7 @@ def test_pipeline_anchored_single_step():
     core, trace = deletion_pipeline(g, part, 2, 2)
     assert len(trace.steps) == 1
     step = trace.steps[0]
-    assert step.cls is NonEdgeClass.HUB_HUB
+    assert step.info.cls is NonEdgeClass.HUB_HUB
     assert step.candidate_sizes == (1, 1)
     assert step.deleted == (0,)  # tie broken toward the left side
     assert core.size == 1
@@ -179,7 +179,7 @@ def test_larger_construction_exercises_anchored_deletions():
     assert trace.anchor_violations == 0
     assert len(trace.steps) == layout.pairs == 4
     for step in trace.steps:
-        assert step.cls is NonEdgeClass.HUB_HUB
+        assert step.info.cls is NonEdgeClass.HUB_HUB
         assert step.candidate_sizes == (5, 5)
         assert len(step.deleted) == 5
     assert core.size == 116 - 20
