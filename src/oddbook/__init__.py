@@ -17,7 +17,7 @@ from .graph import (
     encode_graph6,
     induced_subgraph,
 )
-from .pattern import OddBook, build_odd_book, chromatic_number, is_color_critical_edge
+from .pattern import OddBook, build_odd_book, is_color_critical_edge
 from .construction import (
     BlockLayout,
     ConstructionResult,
@@ -68,7 +68,6 @@ __all__ = [
     "induced_subgraph",
     "OddBook",
     "build_odd_book",
-    "chromatic_number",
     "is_color_critical_edge",
     "BlockLayout",
     "ConstructionResult",

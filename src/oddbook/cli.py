@@ -40,8 +40,6 @@ from .graph import _G6_MAX_ENCODE, GraphFormatError, decode_graph6, encode_graph
 from .pattern import (
     book_order,
     build_odd_book,
-    check_coloring_order,
-    chromatic_number,
     is_color_critical_edge,
     odd_book_issues,
 )
@@ -136,16 +134,16 @@ def _check_biclique(report: dict, name: str, timer: str, g, budget: int):
 
 
 def cmd_pattern(args) -> int:
-    # refused before the book is built
-    check_coloring_order(book_order(args.s, args.k))
+    # refused before the book is built: no search accepts a larger host
+    check_search_order(book_order(args.s, args.k))
     report = new_report("pattern", {"s": args.s, "k": args.k})
     book = build_odd_book(args.s, args.k)
     issues = odd_book_issues(book)
     add_check(report, "structure", not issues, issues=issues)
     with timed(report, "coloring"):
-        chi = chromatic_number(book.graph)
         critical = is_color_critical_edge(book)
-    add_check(report, "three-chromatic", chi == 3, chromatic_number=chi)
+    chi = 3 if critical else None  # exact, see is_color_critical_edge
+    add_check(report, "three-chromatic", critical, chromatic_number=chi)
     add_check(report, "hub-edge-color-critical", critical)
     report["counts"] = {
         "order": book.order,

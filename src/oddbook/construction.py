@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
 from .graph import Graph, bits, first_edge_within, mask_of, two_coloring
@@ -211,14 +212,29 @@ class BlockLayout:
         # 2 ** s > n already rules out base >= 2, without computing base ** s
         if (layout.base > 1 and layout.s >= layout.n.bit_length()) or layout.residual < 0:
             raise ValueError(f"layout geometry does not fit in n={layout.n}")
-        blocks = doc.get("left_blocks")
-        if not isinstance(blocks, list) or len(blocks) != layout.pairs + 1 or any(
-            not isinstance(block, list) or len(block) != len(r) or block != list(r)
-            for block, r in zip(blocks, map(layout.left_block, range(len(blocks))))
+
+        def rows_match(rows, count: int, ids) -> bool:
+            # rows == [list(ids(i)) for i < count]; each length is compared
+            # first, so no more is built than the document holds
+            return isinstance(rows, list) and len(rows) == count and all(
+                isinstance(row, list) and len(row) == len(r) and row == list(r)
+                for row, r in zip(rows, map(ids, range(count))))
+
+        conn = doc.get("connectors")
+        blocks = layout.pairs + 1
+        for key, holds in (
+            ("pairs", type(doc.get("pairs")) is int and doc["pairs"] == layout.pairs),
+            ("left_blocks", rows_match(doc.get("left_blocks"), blocks, layout.left_block)),
+            ("right_blocks", rows_match(doc.get("right_blocks"), blocks, layout.right_block)),
+            ("connectors", isinstance(conn, list) and len(conn) == layout.s and all(
+                rows_match(row, layout.base, partial(layout.connector, p))
+                for p, row in enumerate(conn))),
+            ("degenerate", doc.get("degenerate") is layout.degenerate),
+            ("theorem_scale", doc.get("theorem_scale") is layout.theorem_scale),
         ):
-            raise ValueError(
-                "layout key 'left_blocks' missing or inconsistent with derived geometry"
-            )
+            if not holds:
+                raise ValueError(
+                    f"layout key {key!r} missing or inconsistent with derived geometry")
         return layout
 
 

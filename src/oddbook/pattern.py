@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, two_coloring
+from .graph import Graph, two_coloring
 
 
 @dataclass(frozen=True)
@@ -87,64 +87,12 @@ def odd_book_issues(p: OddBook) -> list[str]:
     return issues
 
 
-# ---------------------------------------------------------------------------
-# exact coloring, used only to validate small patterns
-
-_CHROMATIC_CAP = 32
-
-
-def check_coloring_order(n: int) -> None:
-    """Refuse, with ValueError, an exact coloring of more than
-    _CHROMATIC_CAP vertices."""
-    if n > _CHROMATIC_CAP:
-        raise ValueError(f"exact coloring refused for n > {_CHROMATIC_CAP}")
-
-
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by backtracking, capped to small graphs."""
-    check_coloring_order(g.n)
-    if g.n == 0:
-        return 0
-    if g.num_edges() == 0:
-        return 1
-    if two_coloring(g) is not None:
-        return 2
-    colors = 3
-    while not _colorable(g, colors):
-        colors += 1
-    return colors
-
-
-def _colorable(g: Graph, ncolors: int) -> bool:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color = [-1] * g.n
-
-    def place(i: int, maxused: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        taken = 0
-        for w in bits(g.adj[v]):
-            if color[w] >= 0:
-                taken |= 1 << color[w]
-        # new colors beyond maxused+1 are symmetric, try at most one
-        limit = min(ncolors, maxused + 1)
-        for c in range(limit):
-            if taken >> c & 1:
-                continue
-            color[v] = c
-            if place(i + 1, max(maxused, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return place(0, 0)
-
-
 def is_color_critical_edge(p: OddBook) -> bool:
-    """True iff the pattern is 3-chromatic and dropping the hub edge gives 2."""
-    if chromatic_number(p.graph) != 3:
-        return False
+    """True iff chi(G) = 3 and chi(G - e) = 2 for the hub edge e: G has no
+    2-colouring and G - e has one.  As chi(G) <= chi(G - e) + 1, a bipartite
+    G - e of a non-bipartite G gives chi(G) = 3, and chi(G - e) = 2, since
+    G - e keeps two edges of each odd cycle through e; the converse is
+    immediate.  So the verdict is exact on every graph, not only on books."""
     stripped = p.graph.copy()
     stripped.delete_edge(*p.hubs)
-    return chromatic_number(stripped) == 2
+    return two_coloring(p.graph) is None and two_coloring(stripped) is not None

@@ -516,7 +516,8 @@ def encode_graph6_ref(g: Graph) -> str:
 def chromatic_number_brute(g: Graph) -> int:
     """Fewest colors of a proper coloring, by trying every assignment of
     range(c) to the vertices for c = 0, 1, ...; for n <= 8 only."""
-    assert g.n <= 8, "brute-force coloring is for tiny graphs"
+    if g.n > 8:
+        raise ValueError("brute-force coloring is for tiny graphs")
     edges = list(g.edges())
     for c in range(g.n + 1):
         for color in product(range(c), repeat=g.n):

@@ -21,6 +21,7 @@ from oddbook.bipartite import (
 from oddbook.graph import (
     Graph,
     bits,
+    decode_graph6,
     is_independent,
     mask_of,
     random_graph,
@@ -72,6 +73,17 @@ def test_biclique_matches_brute_force(rng):
         assert search.optimal
         assert validate_biclique(g, search.best)
         assert search.best.size == max_biclique_brute(g)
+
+
+def test_biclique_search_beats_its_greedy_seed():
+    # the branch and bound improves on the seed and expands the quotient
+    # classes of the better biclique
+    g = decode_graph6(r"K~n}\^]r~\x]")
+    assert greedy_biclique(g).size == 4
+    search = max_induced_complete_bipartite(g)
+    assert search.optimal
+    assert validate_biclique(g, search.best)
+    assert search.best.size == 5 == max_biclique_brute(g)
 
 
 def test_biclique_budget_abort():
@@ -434,6 +446,20 @@ def test_long_path_density_regime(rng, monkeypatch):
     res = find_long_path(g, target)
     assert res.density_guarantee
     assert res.path is not None and len(res.path) >= target
+    _check_path(g, res.path)
+
+
+def test_long_path_fallback_rotates(monkeypatch):
+    # a triangle and a 4-cycle sharing vertex 0: extension alone stalls at
+    # [3, 0, 2], and one rotation through the triangle reaches 6 vertices
+    from oddbook import bipartite
+
+    g = decode_graph6("ETr?")
+    assert sorted(g.edges()) == [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)]
+    monkeypatch.setattr(bipartite, "_dfs_long_path", lambda g, target: None)
+    res = find_long_path(g, 4)
+    assert res.density_guarantee
+    assert res.path == [3, 2, 0, 4, 1, 5]
     _check_path(g, res.path)
 
 

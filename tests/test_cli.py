@@ -49,17 +49,23 @@ def test_pattern_single_page_is_cycle(tmp_path):
     assert all(g.degree(v) == 2 for v in range(7))
 
 
-def test_pattern_refuses_order_over_coloring_cap(tmp_path, capsys, monkeypatch):
-    # the size is refused before the book is built: an order of 3 * 10**9
-    # would otherwise allocate its adjacency list first
+def test_pattern_refuses_order_over_search_cap(tmp_path, capsys, monkeypatch):
+    # order 35 is built; orders over 512 are refused before the book is
+    # built: an order of 3 * 10**9 would otherwise allocate its adjacency
+    # list first
+    assert main(["pattern", "-s", "11", "-k", "2", "-o", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().out == "pattern s=11 k=2: order 35, size 45, chi 3\n"
+
     def no_build(*args):
         raise AssertionError("build_odd_book called")
 
     monkeypatch.setattr("oddbook.cli.build_odd_book", no_build)
-    for s in ("11", "1000000000"):  # orders 35 and 3 * 10**9 + 2
-        assert main(["pattern", "-s", s, "-k", "2", "-o", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: exact coloring refused for n > 32\n"
-    assert list(tmp_path.iterdir()) == []
+    for s, n in (("171", 515), ("1000000000", 3 * 10 ** 9 + 2)):
+        refused = tmp_path / s
+        assert main(["pattern", "-s", s, "-k", "2", "-o", str(refused)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: exhaustive search refused for n={n} > 512\n")
+        assert not refused.exists()
 
 
 def test_pattern_usage_error():
@@ -311,6 +317,16 @@ def test_verify_certificate_roundtrip(tmp_path, capsys):
         "-o", str(tmp_path / "verify.json"),
     ])
     assert rc == 0
+    # a layout whose derived id lists were edited is refused, not certified
+    doc = json.loads((tmp_path / "construction_n64_s2_k2.layout.json").read_text())
+    doc["right_blocks"], doc["connectors"] = doc["right_blocks"][::-1], doc["connectors"][::-1]
+    (tmp_path / "edited.layout.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["verify", "-i", str(tmp_path / "construction_n64_s2_k2.g6"),
+               "--check", "certificate", "--layout", str(tmp_path / "edited.layout.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: layout key 'right_blocks' missing or inconsistent with derived geometry\n")
 
 
 def _construct(tmp_path, n):

@@ -278,6 +278,24 @@ def test_layout_json_hostile_keys(key, value):
         BlockLayout.from_json(doc)
 
 
+# an edit of each key that to_json derives from the geometry
+_DERIVED_EDITS = {
+    "right_blocks": lambda v: v[1:] + v[:1],
+    "connectors": lambda v: v[::-1],
+    "pairs": lambda v: v + 1,
+    "degenerate": lambda v: not v,
+    "theorem_scale": lambda v: not v,
+}
+
+
+@pytest.mark.parametrize("key", list(_DERIVED_EDITS))
+def test_layout_json_derived_keys_must_match_geometry(key):
+    doc = plan_layout(64, 2, 2, Fraction(1, 2)).to_json()
+    doc[key] = _DERIVED_EDITS[key](doc[key])
+    with pytest.raises(ValueError, match=repr(key)):
+        BlockLayout.from_json(doc)
+
+
 def test_layout_json_geometry_must_fit():
     # residual -12: the blocks of this layout reach past vertex 31
     doc = BlockLayout(32, 2, 2, Fraction(1, 2), base=2, block_size=4).to_json()

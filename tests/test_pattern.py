@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from oddbook.graph import Graph, random_graph, two_coloring
 from oddbook.pattern import (
+    OddBook,
     book_order,
     book_size,
     build_odd_book,
-    chromatic_number,
     is_color_critical_edge,
     odd_book_issues,
 )
@@ -16,6 +18,7 @@ from .oracles import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    two_coloring_ref,
 )
 
 
@@ -81,42 +84,62 @@ def test_minus_hub_edge_is_disjoint_even_paths():
             assert two_coloring(stripped) is not None
 
 
-def test_chromatic_examples():
-    assert chromatic_number(cycle_graph(5)) == 3
-    assert chromatic_number(complete_bipartite(3, 3)) == 2
-    assert chromatic_number(build_odd_book(2, 2).graph) == 3
+def _with_graph(book: OddBook, edit) -> OddBook:
+    g = book.graph.copy()
+    edit(g)
+    return replace(book, graph=g)
 
 
-def _odd_wheel(rim: int) -> Graph:
-    g = cycle_graph(rim)
-    wheel = Graph.from_edges(rim + 1, list(g.edges()))
-    for v in range(rim):
-        wheel.add_edge(rim, v)
-    return wheel
-
-
-def test_chromatic_matches_brute_force(rng):
-    named = [complete_graph(4), complete_graph(5), _odd_wheel(5)]
-    assert [chromatic_number(g) for g in named] == [4, 5, 4]
-    graphs = named + [
-        random_graph(rng.randrange(0, 9), rng.uniform(0.2, 0.7), rng)
-        for _ in range(60)
-    ]
-    for g in graphs:
-        assert chromatic_number(g) == chromatic_number_brute(g), list(g.edges())
-
-
-def test_chromatic_size_cap():
-    with pytest.raises(ValueError):
-        chromatic_number(Graph(33))
+# (2, 2) book: hubs 0 and 1, pages (2, 3, 4) and (5, 6, 7)
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda b: replace(b, graph=Graph.from_edges(9, b.graph.edges())), "order 9 != 8"),
+    (lambda b: _with_graph(b, lambda g: g.add_edge(3, 6)), "size 10 != 9"),
+    (lambda b: _with_graph(b, lambda g: g.delete_edge(0, 1)), "hub edge missing"),
+    (lambda b: _with_graph(b, lambda g: g.add_edge(0, 3)), "hub 0 degree 4 != 3"),
+    (lambda b: replace(b, pages=((2, 3), (4, 5, 6, 7))), "page 0 has 2 interior vertices"),
+    (lambda b: replace(b, pages=((2, 3, 4), (2, 3, 4))),
+     "page 1 shares vertices with another page or hub"),
+    (lambda b: _with_graph(b, lambda g: g.delete_edge(3, 4)), "page 0 misses edge (3, 4)"),
+    (lambda b: _with_graph(b, lambda g: g.add_edge(2, 6)), "interior 2 degree 3 != 2"),
+    (lambda b: replace(b, pages=((2, 3, 4),)), "pages and hubs do not cover all vertices"),
+], ids=["order", "size", "hub-edge", "hub-degree", "page-length", "shared-vertex",
+        "page-edge", "interior-degree", "uncovered"])
+def test_odd_book_issues_names_each_defect(corrupt, message):
+    assert message in odd_book_issues(corrupt(build_odd_book(2, 2)))
 
 
 def test_color_critical_sweep():
     for s in range(1, 5):
         for k in range(1, 5):
             book = build_odd_book(s, k)
-            assert chromatic_number(book.graph) == 3
+            stripped = book.graph.copy()
+            stripped.delete_edge(*book.hubs)
+            # chi = 3 and chi - e = 2, by the argument of is_color_critical_edge
+            assert two_coloring_ref(book.graph) is None
+            assert two_coloring_ref(stripped) is not None
+            if book.order <= 8:
+                assert chromatic_number_brute(book.graph) == 3
+                assert chromatic_number_brute(stripped) == 2
             assert is_color_critical_edge(book)
+
+
+def test_color_critical_matches_brute_force(rng):
+    named = [cycle_graph(5), complete_graph(4), complete_bipartite(3, 3)]
+    graphs = named + [
+        random_graph(rng.randrange(2, 8), rng.uniform(0.2, 0.8), rng) for _ in range(300)
+    ]
+    critical = 0
+    for g in graphs:
+        edges = list(g.edges())
+        if not edges:
+            continue
+        e = rng.choice(edges)
+        stripped = g.copy()
+        stripped.delete_edge(*e)
+        want = chromatic_number_brute(g) == 3 and chromatic_number_brute(stripped) == 2
+        assert is_color_critical_edge(OddBook(0, 0, g, e, ())) == want, (edges, e)
+        critical += want
+    assert critical >= 10
 
 
 def test_triangle_is_critical():
