@@ -214,10 +214,11 @@ class BlockLayout:
             raise ValueError(f"layout geometry does not fit in n={layout.n}")
 
         def rows_match(rows, count: int, ids) -> bool:
-            # rows == [list(ids(i)) for i < count]; each length is compared
-            # first, so no more is built than the document holds
+            # rows == [list(ids(i)) for i < count] with int ids (True == 1);
+            # lengths are compared first, so no more is built than is held
             return isinstance(rows, list) and len(rows) == count and all(
-                isinstance(row, list) and len(row) == len(r) and row == list(r)
+                isinstance(row, list) and len(row) == len(r)
+                and all(type(v) is int for v in row) and row == list(r)
                 for row, r in zip(rows, map(ids, range(count))))
 
         conn = doc.get("connectors")

@@ -19,6 +19,28 @@ those of the unpruned search.  The search state `_Orders` (sorted rows,
 degrees, degree and walk masks) is built once per graph and, in
 `saturate`, updated in place by `_Orders.add_edge`, which adds the edge
 and regrows only the walk masks that the edge can change.
+
+The construction members are blow-ups, so a check probes many pairs that
+an automorphism maps onto each other.  False twins, vertices with equal
+rows, are never adjacent, and swapping two is an automorphism.  Pairs with
+one twin key, their sorted pair of rows, map onto each other: with
+(x0, y0) ordered so that x0 has the row of x, by t1 = (x0 x), then
+t2 = (t1(y0) y).  An edge and a non-edge never share a key (y in N(x) iff
+x in N(y)).  An automorphism that maps one probe onto another maps copies
+through the first onto copies through the second in the same pattern edge
+orbit, so each anchored search has one verdict per key, and so has the
+anchor, the first orbit (hub-hub, hub-page, page-interior) with a copy.
+A state whose `verdicts` is a dict stores each search's result per key
+and answers a later pair by the image of the stored witness: a valid copy
+with the same anchor, not always the first the search would find.  Only
+callers that read no probe's witness turn it on: `saturate`, the
+maximality check, and `is_book_free` on its own state, which reads back
+only None before its first copy.  `_Orders.add_edge` clears it, since an
+added edge can turn a None verdict into a copy or move an anchor earlier.
+Within one placement of the pair on a page, twin swaps off the pair fix
+the placement, so a hub pair whose ordered rows repeat a tried pair's
+fails as that one did and is skipped; the loop returns at its first
+success, so only failing pairs are skipped and first witnesses stay.
 """
 
 from __future__ import annotations
@@ -131,7 +153,7 @@ class _Orders(dict):
     reads the graph's adjacency list in place; `add_edge` adds an edge to
     it.  A caller that sets `deg` to all zeros before the first read gets
     rows in ascending id order instead; it must then call neither
-    `add_edge` nor `high`.
+    `add_edge` nor `high`.  `verdicts`: see the module docstring.
 
     `add_edge` leaves the state equal to a fresh one of the new graph.  An
     added edge uv changes the key of u and v alone, and only the rows of
@@ -146,7 +168,7 @@ class _Orders(dict):
     entered W_d(g) from u in W_{d-1}(g), or u from v.
     """
 
-    __slots__ = ("adj", "deg", "_rank", "_walks", "_high")
+    __slots__ = ("adj", "deg", "_rank", "_walks", "_high", "verdicts")
 
     def __init__(self, g: Graph):
         super().__init__()
@@ -155,6 +177,7 @@ class _Orders(dict):
         self._rank = [d * g.n + z for z, d in enumerate(self.deg)]
         self._walks: dict[int, list[int]] = {}
         self._high: dict[int, int] = {}
+        self.verdicts: dict | None = None
 
     def __missing__(self, v: int) -> list[int]:
         # bits() yields ascending ids and the sort is stable: (degree, id)
@@ -184,7 +207,7 @@ class _Orders(dict):
         adjacency bits; raise the degree of u, then of v, add it to the
         degree masks it now passes, and move it right in the cached rows
         that hold it (every other key there is current; the row of the
-        other end gains it); then grow the walk masks of those goals."""
+        other end gains it); grow the walk masks of those goals; clear verdicts."""
         deg, adj, high, rank, memo = self.deg, self.adj, self._high, self._rank, self._walks
         top = max(map(len, memo.values()), default=1) - 1
         stale = 0
@@ -213,10 +236,19 @@ class _Orders(dict):
                 grown = masks[d] | neighborhood(adj, gained) if gained else masks[d]
                 grown |= (below >> u & 1) << v | (below >> v & 1) << u
                 gained, masks[d] = grown & ~masks[d], grown
+        if self.verdicts:
+            self.verdicts.clear()
 
 
 def _neighbor_orders(g: Graph) -> _Orders:
     return _Orders(g)
+
+
+def _twin_orders(g: Graph) -> _Orders:
+    """Search state that keeps verdicts by twin key."""
+    orders = _Orders(g)
+    orders.verdicts = {}
+    return orders
 
 
 def _iter_paths(orders, start, goal, length, banned):
@@ -383,6 +415,27 @@ def _witness(s, k, hub1, hub2, pages, anchor, probe) -> Witness:
     return Witness(s, k, mapping, anchor, probe)
 
 
+def _by_twin_key(search, orders, x, y, s, k):
+    """search(orders, x, y, s, k), or, when `orders` keeps verdicts, the
+    image of the one stored under the twin key of (x, y)."""
+    memo = orders.verdicts
+    if memo is None:
+        return search(orders, x, y, s, k)
+    rx, ry = orders.adj[x], orders.adj[y]
+    key = (search, rx, ry) if rx < ry else (search, ry, rx)
+    w = memo.get(key, ...)
+    if w is ...:
+        w = memo[key] = search(orders, x, y, s, k)
+    if w is None or w.probe == (x, y):
+        return w
+    x0, y0 = w.probe if orders.adj[w.probe[0]] == rx else w.probe[::-1]
+    t1 = {x0: x, x: x0}
+    z = t1.get(y0, y0)
+    t2 = {z: y, y: z}
+    mapping = tuple(map(t1.get, w.mapping, w.mapping))
+    return Witness(w.s, w.k, tuple(map(t2.get, mapping, mapping)), w.anchor, (x, y))
+
+
 # ---------------------------------------------------------------------------
 # anchored searches
 
@@ -399,6 +452,10 @@ def find_book_at_edge(
     orders = _orders if _orders is not None else _neighbor_orders(g)
     if orders.deg[x] < s or orders.deg[y] < s:
         return None
+    return _by_twin_key(_find_hub_anchored, orders, x, y, s, k)
+
+
+def _find_hub_anchored(orders, x, y, s, k):
     pages = _find_pages(orders, x, y, s, 2 * k, 0)
     if pages is None:
         return None
@@ -436,12 +493,14 @@ def _find_page_anchored(orders, x, y, s, k):
             continue
         tail_len = 2 * k - 1 - r
         far = orders.walks(b, tail_len)[tail_len] & hubs
+        tried = set()  # ordered rows of the hub pairs searched at this placement
         for u in near:
             if not adj[u] & far:
                 continue
             for v in orders[u]:
-                if not far >> v & 1:
+                if not far >> v & 1 or (rows := (adj[u], adj[v])) in tried:
                     continue
+                tried.add(rows)
                 firsts = _iter_paths(orders, u, a, r, 1 << v | 1 << b) if r else ((),)
                 for seg1 in firsts:
                     used = mask_of(seg1) | 1 << u | 1 << a
@@ -470,7 +529,7 @@ def find_book_using_edge(
     w = find_book_at_edge(g, x, y, s, k, _orders=orders)
     if w is not None or g.n < book_order(s, k):
         return w
-    return _find_page_anchored(orders, x, y, s, k)
+    return _by_twin_key(_find_page_anchored, orders, x, y, s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +549,7 @@ def is_book_free(g: Graph, s: int, k: int, _orders=None) -> tuple[bool, Witness 
     over MAX_SEARCH_ORDER are refused here, and so by every whole-graph
     check: maximality and saturation start with this search."""
     check_search_order(g.n)
-    orders = _orders if _orders is not None else _neighbor_orders(g)
+    orders = _orders if _orders is not None else _twin_orders(g)
     for u, v in g.edges():
         w = find_book_at_edge(g, u, v, s, k, _orders=orders)
         if w is not None:
@@ -501,7 +560,7 @@ def is_book_free(g: Graph, s: int, k: int, _orders=None) -> tuple[bool, Witness 
 def _free_non_edges(g: Graph, s: int, k: int) -> tuple[_Orders, list[tuple[int, int]]]:
     """Search state of g and its non-edges in lexicographic order, once g is
     certified free; raises NotBookFreeError with the first copy otherwise."""
-    orders = _neighbor_orders(g)
+    orders = _twin_orders(g)
     free, witness = is_book_free(g, s, k, _orders=orders)
     if not free:
         raise NotBookFreeError(witness)
@@ -512,7 +571,7 @@ def _free_non_edges(g: Graph, s: int, k: int) -> tuple[_Orders, list[tuple[int, 
 def _probe_chunk(args):
     g, s, k, pairs, orders = args
     if orders is None:
-        orders = _neighbor_orders(g)
+        orders = _twin_orders(g)
     return [
         (x, y)
         for x, y in pairs

@@ -296,6 +296,15 @@ def test_layout_json_derived_keys_must_match_geometry(key):
         BlockLayout.from_json(doc)
 
 
+def test_layout_json_refuses_boolean_ids():
+    # False == 0 and True == 1, so a list compare alone would accept them
+    doc = plan_layout(64, 2, 2, Fraction(1, 2)).to_json()
+    assert doc["left_blocks"][0] == [0, 1, 2, 3]
+    doc["left_blocks"][0] = [False, True, 2, 3]
+    with pytest.raises(ValueError, match="'left_blocks'"):
+        BlockLayout.from_json(doc)
+
+
 def test_layout_json_geometry_must_fit():
     # residual -12: the blocks of this layout reach past vertex 31
     doc = BlockLayout(32, 2, 2, Fraction(1, 2), base=2, block_size=4).to_json()

@@ -18,6 +18,7 @@ from oddbook.freeness import (
     _iter_paths,
     _layers_admit,
     _neighbor_orders,
+    _twin_orders,
     find_book_at_edge,
     find_book_using_edge,
     is_book_free,
@@ -658,6 +659,122 @@ def test_added_edge_changes_exactly_the_filtered_goals(seed):
     for d in range(1, depth + 1):
         filtered |= before[u][d - 1] & ~before[v][d] | before[v][d - 1] & ~before[u][d]
     assert changed == filtered
+
+
+# ---------------------------------------------------------------------------
+# verdicts by twin key on blown-up hosts
+
+
+_BLOWN_UP_SK = [(2, 2), (1, 2), (3, 2), (2, 3)]
+
+
+def _blown_up(rng, s, k):
+    """A random graph on 3-6 vertices with each vertex blown up into 1-4
+    false twins under shuffled ids, and up to 3 pairs flipped; at least
+    book_order(s, k) vertices, since smaller hosts hold no copy."""
+    ids = []
+    while len(ids) < book_order(s, k):
+        base = random_graph(rng.randrange(3, 7), rng.uniform(0.3, 0.8), rng)
+        ids = [b for b in range(base.n) for _ in range(rng.randrange(1, 5))]
+    rng.shuffle(ids)
+    n = len(ids)
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if base.has_edge(ids[u], ids[v]):
+                g.add_edge(u, v)
+    for _ in range(rng.randrange(4)):
+        u, v = rng.sample(range(n), 2)
+        (g.delete_edge if g.has_edge(u, v) else g.add_edge)(u, v)
+    return g
+
+
+def _non_edges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
+def _saturate_ref(g, s, k):
+    """Added list of the lexicographic pass, one unpruned search per pair."""
+    h, added = g.copy(), []
+    for u, v in _non_edges(g):
+        if find_book_using_edge_ref(h, u, v, s, k) is None:
+            h.add_edge(u, v)
+            added.append((u, v))
+    return added
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([(2, 2), (1, 2)]))
+def test_twin_verdicts_match_unpruned_search(seed, sk):
+    """On hosts with large false-twin classes, where most probes are
+    answered from a stored verdict, is_book_free agrees with the naive
+    enumerator, and the maximality failing list and the saturate added list
+    with one unpruned search per pair.  The unpruned pass takes seconds on
+    some (3, 2) and (2, 3) hosts near the pattern's order, so those books
+    are checked against fresh searches below instead."""
+    s, k = sk
+    rng = random.Random(seed)
+    g = _blown_up(rng, s, k)
+    free, witness = is_book_free(g, s, k)
+    if g.n <= 12:
+        assert free == (not contains_book_naive(g, s, k))
+    while not free:
+        assert validate_witness(g, witness)
+        g.delete_edge(*witness.hub_edge)
+        free, witness = is_book_free(g, s, k)
+    failing = [(x, y) for x, y in _non_edges(g) if find_book_using_edge_ref(g, x, y, s, k) is None]
+    assert is_maximal_book_free(g, s, k) == (not failing, failing)
+    assert saturate(g, s, k)[1] == _saturate_ref(g, s, k)
+
+
+def test_saturate_searches_again_after_a_class_splits():
+    """2..7 are false twins of K_2 + 6 independent vertices, and the probe
+    (2, 3) fails under their key.  Once (2, 3) is added, (5, 6) would
+    close a copy through the added edges, so the stored verdict must not
+    answer it."""
+    g = Graph.from_edges(8, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, 8)])
+    added = [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4)]
+    assert _saturate_ref(g, 2, 2) == added
+    assert saturate(g, 2, 2)[1] == added
+
+
+def test_stored_witnesses_are_valid_copies_with_the_fresh_anchor():
+    """A witness answered from a stored verdict, edge or non-edge, with the
+    key's rows in either order, is a valid copy through the probe pair in
+    the pattern edge orbit that a fresh search names first."""
+    mapped = 0
+    for seed in range(24):
+        s, k = _BLOWN_UP_SK[seed % 4]
+        g = _blown_up(random.Random(seed), s, k)
+        state = _twin_orders(g)
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                probe = find_book_at_edge if g.has_edge(x, y) else find_book_using_edge
+                w = probe(g, x, y, s, k, _orders=state)
+                fresh = probe(g, x, y, s, k)
+                assert (w is None) == (fresh is None)
+                if w is not None:
+                    assert validate_witness(g, w)
+                    assert (w.anchor, w.probe) == (fresh.anchor, (x, y))
+                    mapped += w.mapping != fresh.mapping
+    assert mapped > 100
+
+
+def test_shared_state_keeps_first_witnesses_on_blown_up_hosts():
+    """A state shared across probes, as the stability classification keeps
+    one, stores no verdicts; with the hub pairs that repeat a tried pair's
+    rows skipped, each non-edge still gets the first witness of a fresh
+    call and of the unpruned search."""
+    for seed in range(24):
+        s, k = _BLOWN_UP_SK[seed % 4]
+        g = _blown_up(random.Random(seed), s, k)
+        shared = _neighbor_orders(g)
+        for x, y in _non_edges(g):
+            w = find_book_using_edge(g, x, y, s, k, _orders=shared)
+            assert w == find_book_using_edge(g, x, y, s, k)
+            assert (None if w is None else (w.mapping, w.anchor)) == \
+                find_book_using_edge_ref(g, x, y, s, k)
+        assert shared.verdicts is None
 
 
 def _runs(u, lo, hi):
