@@ -583,6 +583,8 @@ def truncate_into_disjoint_paths(
 ) -> list[list[int]]:
     """Slice an alternating path into `count` vertex-disjoint subpaths of
     `each_length` edges whose endpoints lie in `side`."""
+    if each_length < 0:
+        raise ValueError(f"each_length must be nonnegative, got {each_length}")
     out: list[list[int]] = []
     i = 0
     n = len(path)

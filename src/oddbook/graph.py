@@ -145,16 +145,43 @@ def neighborhood(adj: list[int], mask: int) -> int:
     return reach
 
 
-def bfs_layers(g: Graph, root: int, within: int | None = None) -> Iterator[int]:
-    """BFS frontier masks inside `within`: {root}, then the vertices at
-    distance 1, 2, ... from root.  Nothing when root is outside `within`."""
-    scope = g.vertex_mask if within is None else within
-    frontier = 1 << root & scope
-    seen = frontier
-    while frontier:
-        yield frontier
-        frontier = neighborhood(g.adj, frontier) & scope & ~seen
-        seen |= frontier
+def _layered_bfs(
+    g: Graph, scope: int
+) -> tuple[tuple[int, int] | None, dict[int, int], tuple[int, int] | None]:
+    """FIFO BFS of each component of `scope` from its smallest vertex, which
+    puts the even layers on side 0 and the odd ones on side 1.  Returns
+    (sides, parent, None), or (None, parent, (u, v)) at the first edge
+    inside a layer: u is the first vertex in queue order with a neighbor on
+    its own side, v its smallest such neighbor.  `parent` maps each non-root
+    vertex discovered so far to its BFS parent.
+
+    The children of u are its unseen neighbors in `scope`, in ascending id,
+    as in the BFS that tests one neighbor bit at a time, so the queue order
+    and the parents are that BFS's.  When u is dequeued, its whole layer has
+    been seen, and every seen vertex on u's side that is adjacent to u lies
+    in that layer (an edge joins layers at most one apart).  So one mask
+    test finds the first same-side edge that BFS meets, (u, v), and the odd
+    cycle built from these parents is the one it builds.
+    """
+    adj = g.adj
+    sides = [0, 0]
+    parent: dict[int, int] = {}
+    for root in bits(scope):
+        if (sides[0] | sides[1]) >> root & 1:
+            continue
+        sides[0] |= 1 << root
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            side = sides[1] >> u & 1
+            inside = adj[u] & sides[side]
+            if inside:
+                return None, parent, (u, (inside & -inside).bit_length() - 1)
+            children = adj[u] & scope & ~(sides[0] | sides[1])
+            sides[side ^ 1] |= children
+            for v in bits(children):
+                parent[v] = u
+                queue.append(v)
+    return (sides[0], sides[1]), parent, None
 
 
 def two_coloring(g: Graph, within: int | None = None) -> tuple[int, int] | None:
@@ -162,56 +189,24 @@ def two_coloring(g: Graph, within: int | None = None) -> tuple[int, int] | None:
 
     Restricted to the `within` mask when given.  Each component's even BFS
     layers from its smallest vertex form side 0 and its odd layers side 1,
-    so isolated vertices all end up on side 0.  An edge joins layers at
-    most one apart, so the coloring is proper exactly when each side is
-    independent.
+    so isolated vertices all end up on side 0.
     """
-    scope = g.vertex_mask if within is None else within
-    sides = [0, 0]
-    for root in bits(scope):
-        if (sides[0] | sides[1]) >> root & 1:
-            continue
-        for d, layer in enumerate(bfs_layers(g, root, scope)):
-            sides[d & 1] |= layer
-    if not (is_independent(g, sides[0]) and is_independent(g, sides[1])):
-        return None
-    return sides[0], sides[1]
+    return _layered_bfs(g, g.vertex_mask if within is None else within)[0]
 
 
 def find_odd_cycle(g: Graph, within: int | None = None) -> list[int] | None:
-    """Vertices of some odd cycle (BFS conflict cycle), or None if bipartite."""
-    scope = g.vertex_mask if within is None else within
-    side = {}
-    parent = {}
-    for root in bits(scope):
-        if root in side:
-            continue
-        side[root] = 0
-        parent[root] = -1
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in bits(g.adj[u] & scope):
-                if v not in side:
-                    side[v] = side[u] ^ 1
-                    parent[v] = u
-                    queue.append(v)
-                elif side[v] == side[u] and v != parent[u]:
-                    anc_u = []
-                    x = u
-                    while x != -1:
-                        anc_u.append(x)
-                        x = parent[x]
-                    seen = {x: i for i, x in enumerate(anc_u)}
-                    x = v
-                    tail = []
-                    while x not in seen:
-                        tail.append(x)
-                        x = parent[x]
-                    return anc_u[: seen[x] + 1] + tail[::-1]
-    return None
+    """Vertices of some odd cycle (BFS conflict cycle), or None if bipartite.
+
+    The conflict's two ends lie in one layer, so their parent chains meet
+    after the same number of steps."""
+    _, parent, conflict = _layered_bfs(g, g.vertex_mask if within is None else within)
+    if conflict is None:
+        return None
+    up, down = [conflict[0]], [conflict[1]]
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
@@ -219,10 +214,10 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     remaining = g.vertex_mask if within is None else within
     comps = []
     while remaining:
-        root = (remaining & -remaining).bit_length() - 1
-        comp = 0
-        for layer in bfs_layers(g, root, remaining):
-            comp |= layer
+        comp = frontier = remaining & -remaining
+        while frontier:
+            frontier = neighborhood(g.adj, frontier) & remaining & ~comp
+            comp |= frontier
         comps.append(comp)
         remaining &= ~comp
     return comps

@@ -10,7 +10,6 @@ from oddbook.bipartite import Biclique, BicliqueSearch
 from oddbook.graph import (
     Graph,
     GraphFormatError,
-    bfs_layers,
     bits,
     mask_of,
     neighborhood,
@@ -526,9 +525,46 @@ def chromatic_number_brute(g: Graph) -> int:
     raise AssertionError("n colors always suffice")
 
 
-# The BFS helpers as they were before they shared one frontier generator:
-# a per-vertex queue for the coloring and hand-rolled frontier loops for the
-# distances and the components.
+# The BFS helpers as they were before they shared one BFS: a queue that
+# tests one neighbor bit at a time for the odd cycle, a per-vertex queue for
+# the coloring and hand-rolled frontier loops for the distances and the
+# components.
+
+
+def find_odd_cycle_ref(g: Graph, within: int | None = None) -> list[int] | None:
+    """Vertices of some odd cycle (BFS conflict cycle), or None if bipartite."""
+    scope = g.vertex_mask if within is None else within
+    side = {}
+    parent = {}
+    for root in bits(scope):
+        if root in side:
+            continue
+        side[root] = 0
+        parent[root] = -1
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for v in bits(g.adj[u] & scope):
+                if v not in side:
+                    side[v] = side[u] ^ 1
+                    parent[v] = u
+                    queue.append(v)
+                elif side[v] == side[u] and v != parent[u]:
+                    anc_u = []
+                    x = u
+                    while x != -1:
+                        anc_u.append(x)
+                        x = parent[x]
+                    seen = {x: i for i, x in enumerate(anc_u)}
+                    x = v
+                    tail = []
+                    while x not in seen:
+                        tail.append(x)
+                        x = parent[x]
+                    return anc_u[: seen[x] + 1] + tail[::-1]
+    return None
 
 
 def two_coloring_ref(g: Graph, within: int | None = None) -> tuple[int, int] | None:
@@ -789,17 +825,6 @@ def count_edges_between(g: Graph, a, b) -> int:
     if amask & bmask:
         raise ValueError("vertex sets overlap")
     return sum((g.adj[u] & bmask).bit_count() for u in bits(amask))
-
-
-def bfs_distances(g: Graph, source: int, allowed: int | None = None) -> list[int]:
-    """BFS distances from source; unreachable vertices get n (an upper
-    bound+1).  Built on the package's `bfs_layers`, so comparing it with
-    `bfs_distances_ref` checks that BFS."""
-    dist = [g.n or 1] * g.n
-    for d, layer in enumerate(bfs_layers(g, source, allowed)):
-        for u in bits(layer):
-            dist[u] = d
-    return dist
 
 
 def complete_graph(n: int) -> Graph:

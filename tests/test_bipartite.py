@@ -27,10 +27,12 @@ from oddbook.graph import (
     random_graph,
     two_coloring,
 )
+from oddbook.stability import deletion_pipeline
 from .oracles import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    find_odd_cycle_ref,
     find_parity_path_ref,
     greedy_biclique_ref,
     longest_path_brute,
@@ -286,6 +288,25 @@ def test_partition_saturated_construction(saturated_64):
     assert is_independent(sat, part.left) and is_independent(sat, part.right)
 
 
+def test_partition_at_128_matches_fifo_references(monkeypatch):
+    # the transversal and the 2-coloring of the saturated n = 128 member,
+    # and so the partition and its deletion trace, are those of the BFS
+    # loops that tested one neighbor bit at a time
+    from oddbook import bipartite
+
+    member = build_min_member(plan_layout(128, 2, 2, Fraction(1, 2))).graph
+    sat, _ = saturate(member, 2, 2)
+    part, trace = build_uvt_partition(sat, 8)
+    core, pipeline = deletion_pipeline(sat, part, 2, 2)
+    monkeypatch.setattr(bipartite, "find_odd_cycle", find_odd_cycle_ref)
+    monkeypatch.setattr(bipartite, "two_coloring", two_coloring_ref)
+    ref_part, ref_trace = build_uvt_partition(sat, 8)
+    assert ref_trace.method == "transversal"
+    assert (part, trace.moves) == (ref_part, ref_trace.moves)
+    ref_core, ref_pipeline = deletion_pipeline(sat, ref_part, 2, 2)
+    assert (core, pipeline.to_json()) == (ref_core, ref_pipeline.to_json())
+
+
 def test_transversal_on_odd_structures():
     g = cycle_graph(5)
     t = greedy_odd_cycle_transversal(g)
@@ -511,3 +532,8 @@ def test_truncate_too_short():
     side = mask_of(range(0, 6, 2))
     with pytest.raises(ValueError):
         truncate_into_disjoint_paths(path, 2, 2, side)
+
+
+def test_truncate_refuses_negative_length():
+    with pytest.raises(ValueError, match="each_length"):
+        truncate_into_disjoint_paths([0, 1, 2, 3], 1, -1, 0b1111)

@@ -11,6 +11,7 @@ from oddbook.graph import (
     bits,
     connected_components,
     decode_graph6,
+    find_odd_cycle,
     first_edge_within,
     encode_graph6,
     induced_subgraph,
@@ -21,13 +22,12 @@ from oddbook.graph import (
 )
 from .conftest import petersen
 from .oracles import (
-    bfs_distances,
-    bfs_distances_ref,
     complete_graph,
     connected_components_ref,
     cycle_graph,
     decode_graph6_ref,
     encode_graph6_ref,
+    find_odd_cycle_ref,
     path_graph,
     two_coloring_ref,
 )
@@ -272,10 +272,10 @@ def test_two_coloring_restricted():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 9), st.integers(0, 15))
+@given(st.integers(0, 10 ** 9), st.integers(0, 40))
 @example(0, 0)
 def test_bfs_helpers_match_reference(seed, n):
-    """Coloring, distances and components equal those of the hand-rolled
+    """Odd cycle, coloring and components equal those of the hand-rolled
     loops they replaced, on the whole graph and inside random masks."""
     rng = random.Random(seed)
     g = random_graph(n, rng.choice([0.1, 0.25, 0.5]), rng)
@@ -286,10 +286,9 @@ def test_bfs_helpers_match_reference(seed, n):
             if (left >> u ^ left >> v) & 1 == 0:
                 g.delete_edge(u, v)
     for within in (None, rng.getrandbits(n) if n else 0):
+        assert find_odd_cycle(g, within) == find_odd_cycle_ref(g, within)
         assert two_coloring(g, within) == two_coloring_ref(g, within)
         assert connected_components(g, within) == connected_components_ref(g, within)
-        for source in range(n):
-            assert bfs_distances(g, source, within) == bfs_distances_ref(g, source, within)
 
 
 @settings(max_examples=100, deadline=None)
