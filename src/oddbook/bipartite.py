@@ -95,26 +95,35 @@ def greedy_biclique(g: Graph) -> Biclique:
     start stops once its size plus its candidates cannot beat the incumbent,
     which is replaced only by a strictly larger biclique.
 
-    Two skips keep every pick.  False twins have the same row, so they sit
-    in the same candidate set with the same score, and a candidate whose
-    smaller twin is still a candidate is not scored.  The picks from a state
-    depend only on the unordered pair {cand_l, cand_r}: swapping the two
-    sets swaps keep_l and keep_r and negates d, so every score stays.  A
-    start that reaches a pair already visited at a size at least its own
-    therefore ends no larger than that visit, which ended at or below the
-    incumbent, because size + |cand| never grows along a start; it stops.
+    Each step places a whole false-twin class, scored by its first vertex.
+    This makes the picks of the one-vertex greedy: once u is picked, each
+    twin of u that is left has u's row, so it scores |cand| - 1, the most
+    possible, and taking it lowers every other score by one.  So that
+    greedy takes the rest of u's class before any other pick (ties with
+    other such free vertices commute), and size + |cand| stays constant
+    meanwhile.  Every other pick is therefore made at a state made of whole
+    classes, and a start from a later twin reaches the same state as the
+    earlier twin's start.  The picks from a state depend only on the
+    unordered pair {cand_l, cand_r}: swapping the two sets swaps keep_l and
+    keep_r and negates d, so every score stays.  A start that reaches a
+    pair already visited at a size at least its own therefore ends no
+    larger than that visit, which ended at or below the incumbent, because
+    size + |cand| never grows along a start; it stops.
     """
     adj = g.adj
-    below = [0] * g.n  # the smaller false twins of each vertex
+    twins = [0] * g.n  # the false-twin class of each vertex
+    firsts = 0  # the first vertex of each class
     for group in _twin_classes(g):
-        twins = 0
+        cls = mask_of(group)
         for v in group:
-            below[v], twins = twins, twins | 1 << v
+            twins[v] = cls
+        firsts |= 1 << group[0]
     seen: dict[tuple[int, int], int] = {}  # candidate pair -> largest size
     best = Biclique(0, 0)
     best_size = 0
-    for v0 in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
-        left, right, size = 1 << v0, 0, 1
+    for v0 in sorted(bits(firsts), key=lambda v: (-g.degree(v), v)):
+        left, right = twins[v0], 0
+        size = left.bit_count()
         cand_l = ~adj[v0] & g.vertex_mask & ~left
         cand_r = adj[v0]
         while True:
@@ -131,25 +140,23 @@ def greedy_biclique(g: Graph) -> Biclique:
             keep_l = cand_l.bit_count() - 1
             keep_r = cand_r.bit_count() - 1
             top = -1
-            for u in bits(cand):
-                if cand & below[u]:
-                    continue
+            for u in bits(cand & firsts):
                 row = adj[u]
                 d = (cand_l & row).bit_count() - (cand_r & row).bit_count()
                 score = keep_r + d if cand_r >> u & 1 else keep_l - d
                 if score > top:
                     top, pick = score, u
-            ubit = 1 << pick
+            cls = twins[pick]
             row = adj[pick]
-            if cand_r & ubit:
-                right |= ubit
+            if cand_r & cls:
+                right |= cls
                 cand_l &= row
-                cand_r &= ~row & ~ubit
+                cand_r &= ~row & ~cls
             else:
-                left |= ubit
-                cand_l &= ~row & ~ubit
+                left |= cls
+                cand_l &= ~row & ~cls
                 cand_r &= row
-            size += 1
+            size += cls.bit_count()
     return best
 
 
@@ -172,21 +179,21 @@ def max_induced_complete_bipartite(
 ) -> BicliqueSearch:
     """Exact branch and bound over side-assignment decisions.
 
-    False-twin classes are collapsed into weighted quotient vertices first;
-    the bound is committed weight plus the weight of all candidates still
-    consistent with a side.  Each node branches on the heaviest open class,
-    ties to the class with the smallest first vertex: the classes are
-    relabeled once in that canonical order, so the branching class is the
-    lowest set bit.  Every weight is at least 1, so the weight of a class
-    set is its popcount plus one popcount per bit plane of weight - 1,
-    planes[b] holding the classes whose weight - 1 has bit b set; the
-    committed weight rides on the stack.  The node count is part of the
+    Each decision places or drops a whole false-twin class, so the
+    candidate sets stay unions of whole classes and a set's popcount is
+    the weight of its classes.  The bound is the committed size plus the
+    popcount of all candidates still consistent with a side.  Each node
+    branches on the heaviest open class, ties to the class with the
+    smallest first vertex: the vertices are relabeled once so that the
+    classes run contiguously in that canonical order, so the branching
+    class is the one holding the lowest set bit, and the node order is that
+    of a search over the weighted quotient.  The node count is part of the
     output: these choices change the cost of a node, never which nodes are
-    visited.  When the node budget runs out the
-    incumbent is returned with optimal=False and upper_bound covering every
-    open node.  Hosts above MAX_SEARCH_ORDER vertices are refused: the
-    budget bounds only the branch and bound, and the greedy seed before it
-    grows about as n^3.
+    visited.  When the node budget runs out the incumbent is returned with
+    optimal=False and upper_bound covering every open node.  Hosts above
+    MAX_SEARCH_ORDER vertices are refused: the budget bounds only the
+    branch and bound, and the greedy seed before it grows about as the
+    number of twin classes cubed.
     """
     check_search_order(g.n)
     if g.n == 0:
@@ -194,63 +201,47 @@ def max_induced_complete_bipartite(
             best=Biclique(0, 0), optimal=True, nodes=0, upper_bound=0, budget=budget
         )
     classes = sorted(_twin_classes(g), key=lambda c: -len(c))
-    m = len(classes)
-    weight = [len(c) for c in classes]
-    cmask = [mask_of(c) for c in classes]
-    label = [0] * g.n
-    for i, c in enumerate(classes):
+    order = [v for c in classes for v in c]  # canonical id -> vertex
+    label = {v: i for i, v in enumerate(order)}
+    adj = [0] * g.n  # rows over canonical ids
+    twins = [0] * g.n  # the class of each canonical id
+    for c in classes:
+        row = mask_of(label[w] for w in bits(g.adj[c[0]]))
+        cls = mask_of(label[v] for v in c)
         for v in c:
-            label[v] = i
-    qadj = [mask_of(label[w] for w in bits(g.adj[c[0]])) for c in classes]
-    planes = [
-        (b, mask_of(i for i in range(m) if weight[i] - 1 >> b & 1))
-        for b in range((weight[0] - 1).bit_length())
-    ]
-
-    def wsum(mask: int) -> int:
-        total = mask.bit_count()
-        for b, plane in planes:
-            total += (mask & plane).bit_count() << b
-        return total
-
-    def expand(class_mask: int) -> int:
-        out = 0
-        for i in bits(class_mask):
-            out |= cmask[i]
-        return out
+            adj[label[v]], twins[label[v]] = row, cls
 
     best = greedy_biclique(g)
     best_size = best.size
     nodes = 0
-    full = (1 << m) - 1
+    full = g.vertex_mask
 
-    # stack entries over quotient classes:
-    # (left, right, cand_left, cand_right, committed weight)
+    # stack entries over canonical ids: (left, right, cand_left, cand_right, size)
     stack: list[tuple[int, int, int, int, int]] = [(0, 0, full, full, 0)]
     while stack and nodes < budget:
         nodes += 1
         left, right, cl, cr, size = stack.pop()
         cu = cl | cr
-        if size + wsum(cu) <= best_size:
+        if size + cu.bit_count() <= best_size:
             continue
         if not cu:
-            best = Biclique(expand(left), expand(right))
+            best = Biclique(*[mask_of(order[i] for i in bits(side)) for side in (left, right)])
             best_size = size
             continue
-        vbit = cu & -cu
-        v = vbit.bit_length() - 1
-        adj_v = qadj[v]
-        grown = size + weight[v]
+        v = (cu & -cu).bit_length() - 1
+        cls = twins[v]
+        adj_v = adj[v]
+        grown = size + cls.bit_count()
         # exclude branch first so assignment branches pop first (DFS
         # dives toward large bicliques early)
-        stack.append((left, right, cl & ~vbit, cr & ~vbit, size))
-        if cr & vbit and (left or right):
-            stack.append((left, right | vbit, cl & adj_v, cr & ~adj_v & ~vbit, grown))
-        if cl & vbit:
-            stack.append((left | vbit, right, cl & ~adj_v & ~vbit, cr & adj_v, grown))
+        stack.append((left, right, cl & ~cls, cr & ~cls, size))
+        if cr & cls and (left or right):
+            stack.append((left, right | cls, cl & adj_v, cr & ~adj_v & ~cls, grown))
+        if cl & cls:
+            stack.append((left | cls, right, cl & ~adj_v & ~cls, cr & adj_v, grown))
 
     # a nonempty stack means the budget ran out; its open nodes bound the rest
-    upper = max([best_size] + [size + wsum(cl | cr) for _, _, cl, cr, size in stack])
+    upper = max([best_size] + [size + (cl | cr).bit_count() for _, _, cl, cr, size in stack])
     return BicliqueSearch(
         best=best, optimal=not stack, nodes=nodes, upper_bound=upper, budget=budget
     )
@@ -452,7 +443,7 @@ def find_long_path(g: Graph, min_vertices: int) -> LongPathResult:
     """
     n = g.n
     if min_vertices <= 1:
-        return LongPathResult([0] if n else [], density_guarantee=False)
+        return LongPathResult([0] if n else None, density_guarantee=False)
     guarantee = 2 * g.num_edges() > (min_vertices - 2) * n
     path = _dfs_long_path(g, min_vertices)
     if path is None and guarantee:
@@ -583,8 +574,9 @@ def truncate_into_disjoint_paths(
 ) -> list[list[int]]:
     """Slice an alternating path into `count` vertex-disjoint subpaths of
     `each_length` edges whose endpoints lie in `side`."""
-    if each_length < 0:
-        raise ValueError(f"each_length must be nonnegative, got {each_length}")
+    for name, value in (("count", count), ("each_length", each_length)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     out: list[list[int]] = []
     i = 0
     n = len(path)

@@ -284,9 +284,11 @@ def find_book_using_edge_ref(g: Graph, x: int, y: int, s: int, k: int):
 
 
 # The biclique greedy seed and branch and bound as they were before the
-# canonical class order, the bit-plane weights and the greedy bound.  The
-# production search only makes each node cheaper, so it must return the
-# same biclique, node count and upper bound for every budget.
+# canonical class order, the whole-class steps and the greedy bound: the
+# greedy places one vertex per step, and the branch and bound runs on the
+# weighted quotient of the false-twin classes.  The production search only
+# makes each node cheaper, so it must return the same biclique, node count
+# and upper bound for every budget.
 
 
 def greedy_biclique_ref(g: Graph) -> Biclique:

@@ -78,8 +78,8 @@ def test_biclique_matches_brute_force(rng):
 
 
 def test_biclique_search_beats_its_greedy_seed():
-    # the branch and bound improves on the seed and expands the quotient
-    # classes of the better biclique
+    # the branch and bound improves on the seed and maps the better
+    # biclique back from its canonical labels
     g = decode_graph6(r"K~n}\^]r~\x]")
     assert greedy_biclique(g).size == 4
     search = max_induced_complete_bipartite(g)
@@ -131,10 +131,10 @@ def _twin_rich_graph(rng):
 @given(st.integers(0, 10 ** 9), st.booleans())
 def test_biclique_search_matches_reference(seed, twin_rich):
     """Same biclique, node count, bound and optimality as the reference
-    search for every budget, on G(n, p) and on graphs whose twin classes
-    have weights spread over several bit planes.  The greedy seed is also
-    compared on sparse G(n, p) with up to 40 vertices, where starts often
-    reach a candidate pair already visited."""
+    search for every budget, on G(n, p) and on graphs with many twin
+    classes of unequal weight.  The greedy seed is also compared on sparse
+    G(n, p) with up to 40 vertices, where starts often reach a candidate
+    pair already visited."""
     rng = random.Random(seed)
     if twin_rich:
         g = _twin_rich_graph(rng)
@@ -159,10 +159,25 @@ def test_greedy_seed_tells_visited_pairs_apart_by_side():
     assert greedy_biclique(g) == greedy_biclique_ref(g)
 
 
+def test_greedy_seed_breaks_score_ties_to_the_smallest_vertex():
+    # at the start from 5, vertex 2 on the left and the class {3, 4} on the
+    # right both keep 3 candidates; the smaller vertex wins, not the
+    # heavier class
+    g = Graph.from_edges(6, [(1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
+    seed = Biclique(left=mask_of([2, 5]), right=mask_of([3, 4]))
+    assert greedy_biclique(g) == greedy_biclique_ref(g) == seed
+
+
 def test_greedy_seed_matches_reference_on_saturated_member():
+    # a blow-up with 22 twin classes: whole-class picks and branching give
+    # the one-vertex greedy's seed and the weighted quotient's search
     member = build_min_member(plan_layout(128, 2, 2, Fraction(1, 2))).graph
     sat, _ = saturate(member, 2, 2)
     assert greedy_biclique(sat) == greedy_biclique_ref(sat)
+    for budget in (1, 20, None):
+        kwargs = {} if budget is None else {"budget": budget}
+        ours = max_induced_complete_bipartite(sat, **kwargs)
+        assert ours.to_json() == max_induced_complete_bipartite_ref(sat, **kwargs).to_json()
 
 
 def test_biclique_search_pinned_on_saturated_member(saturated_64):
@@ -484,6 +499,12 @@ def test_long_path_fallback_rotates(monkeypatch):
     _check_path(g, res.path)
 
 
+def test_long_path_needs_a_vertex():
+    # a path has at least one vertex, so the empty graph has none
+    assert find_long_path(Graph(0), 1).path is None
+    assert find_long_path(Graph(1), 1).path == [0]
+
+
 def test_long_path_complete_graph():
     res = find_long_path(complete_graph(8), 8)
     assert res.path is not None and len(res.path) == 8
@@ -537,3 +558,5 @@ def test_truncate_too_short():
 def test_truncate_refuses_negative_length():
     with pytest.raises(ValueError, match="each_length"):
         truncate_into_disjoint_paths([0, 1, 2, 3], 1, -1, 0b1111)
+    with pytest.raises(ValueError, match="^count must be nonnegative, got -1$"):
+        truncate_into_disjoint_paths([0, 1, 2, 3], -1, 1, 0b1111)
