@@ -442,9 +442,9 @@ def find_long_path(g: Graph, min_vertices: int) -> LongPathResult:
     always produces one.
     """
     n = g.n
-    if min_vertices <= 1:
-        return LongPathResult([0] if n else None, density_guarantee=False)
     guarantee = 2 * g.num_edges() > (min_vertices - 2) * n
+    if min_vertices <= 1:
+        return LongPathResult([0] if n else None, density_guarantee=guarantee)
     path = _dfs_long_path(g, min_vertices)
     if path is None and guarantee:
         path = _density_long_path(g, min_vertices)

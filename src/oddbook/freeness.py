@@ -31,12 +31,14 @@ through the first onto copies through the second in the same pattern edge
 orbit, so each anchored search has one verdict per key, and so has the
 anchor, the first orbit (hub-hub, hub-page, page-interior) with a copy.
 A state whose `verdicts` is a dict stores each search's result per key
-and answers a later pair by the image of the stored witness: a valid copy
-with the same anchor, not always the first the search would find.  Only
-callers that read no probe's witness turn it on: `saturate`, the
-maximality check, and `is_book_free` on its own state, which reads back
-only None before its first copy.  `_Orders.add_edge` clears it, since an
-added edge can turn a None verdict into a copy or move an anchor earlier.
+and answers a later pair by the image of the stored witness, built by
+swapping t1's and then t2's two vertices in place in a copy of its
+mapping, which holds x0 and y0 and so t1(y0): a valid copy with the same
+anchor, not always the first the search would find.  Only callers that
+read no probe's witness turn it on: `saturate`, the maximality check,
+and `is_book_free` on its own state, which reads back only None before
+its first copy.  `_Orders.add_edge` clears it, since an added edge can
+turn a None verdict into a copy or move an anchor earlier.
 Within one placement of the pair on a page, twin swaps off the pair fix
 the placement, so a hub pair whose ordered rows repeat a tried pair's
 fails as that one did and is skipped; the loop returns at its first
@@ -429,11 +431,14 @@ def _by_twin_key(search, orders, x, y, s, k):
     if w is None or w.probe == (x, y):
         return w
     x0, y0 = w.probe if orders.adj[w.probe[0]] == rx else w.probe[::-1]
-    t1 = {x0: x, x: x0}
-    z = t1.get(y0, y0)
-    t2 = {z: y, y: z}
-    mapping = tuple(map(t1.get, w.mapping, w.mapping))
-    return Witness(w.s, w.k, tuple(map(t2.get, mapping, mapping)), w.anchor, (x, y))
+    m = list(w.mapping)
+    for a, b in (x0, x), (x0 if y0 == x else y0, y):
+        if a != b:  # m holds a, and may hold b
+            i = m.index(a)
+            if b in m:
+                m[m.index(b)] = a
+            m[i] = b
+    return Witness(w.s, w.k, tuple(m), w.anchor, (x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oddbook import build_min_member, plan_layout, saturate
 from oddbook.bipartite import (
     Biclique,
+    LongPathResult,
     build_uvt_partition,
     find_long_path,
     find_parity_path,
@@ -503,6 +504,14 @@ def test_long_path_needs_a_vertex():
     # a path has at least one vertex, so the empty graph has none
     assert find_long_path(Graph(0), 1).path is None
     assert find_long_path(Graph(1), 1).path == [0]
+
+
+def test_long_path_short_targets_carry_the_density_guarantee():
+    # 2e > (L - 2) n holds on every nonempty graph once L <= 1, edgeless or not
+    for n, L in [(1, 1), (3, 1), (3, 0)]:
+        assert find_long_path(Graph(n), L) == LongPathResult([0], density_guarantee=True)
+    assert find_long_path(path_graph(4), 1) == LongPathResult([0], density_guarantee=True)
+    assert find_long_path(Graph(0), 1) == LongPathResult(None, density_guarantee=False)
 
 
 def test_long_path_complete_graph():

@@ -39,6 +39,7 @@ from .oracles import (
     iter_paths_ref,
     layers_admit_ref,
     neighbor_orders_ref,
+    twin_image_ref,
 )
 
 
@@ -758,6 +759,77 @@ def test_stored_witnesses_are_valid_copies_with_the_fresh_anchor():
                     assert (w.anchor, w.probe) == (fresh.anchor, (x, y))
                     mapped += w.mapping != fresh.mapping
     assert mapped > 100
+
+
+def _spy_memo_answers(monkeypatch):
+    """Record each witness answered by a state that keeps verdicts as
+    (x0, y0, stored mapping, x, y, matches twin_image_ref), with (x0, y0)
+    the stored probe ordered by the row of x when the probe is made."""
+    real, seen = freeness._by_twin_key, []
+
+    def spy(search, orders, x, y, s, k):
+        w = real(search, orders, x, y, s, k)
+        if orders.verdicts is not None and w is not None:
+            adj = orders.adj
+            stored = orders.verdicts[search, min(adj[x], adj[y]), max(adj[x], adj[y])]
+            x0, y0 = stored.probe if adj[stored.probe[0]] == adj[x] else stored.probe[::-1]
+            ok = w.mapping == twin_image_ref(adj, stored, x, y)
+            seen.append((x0, y0, stored.mapping, x, y, ok))
+        return w
+
+    monkeypatch.setattr(freeness, "_by_twin_key", spy)
+    return seen
+
+
+def _swap_cases(x0, y0, m, x, y):
+    """The branches of the in-place swaps a memo answer takes."""
+    z = x0 if y0 == x else y0
+    return {"y0 is x": y0 == x, "x in stored mapping": x not in (x0, y0) and x in m,
+            "z is y": z == y}
+
+
+def test_memo_answers_match_the_transposition_formula(monkeypatch):
+    """Every witness a twin-key memo answers, edges through
+    find_book_at_edge and non-edges through find_book_using_edge in both
+    orders on blown-up hosts over the four books, and every probe of
+    saturate and the maximality check on the n = 64 member, has the
+    mapping of the dict form of t1 and t2; each swap branch is taken."""
+    seen = _spy_memo_answers(monkeypatch)
+    for seed in range(48):
+        s, k = _BLOWN_UP_SK[seed % 4]
+        g = _blown_up(random.Random(seed), s, k)
+        state = _twin_orders(g)
+        for x in range(g.n):
+            for y in range(g.n):
+                if x != y:
+                    probe = find_book_at_edge if g.has_edge(x, y) else find_book_using_edge
+                    probe(g, x, y, s, k, _orders=state)
+    g = build_min_member(plan_layout(64, 2, 2, Fraction(1, 2))).graph
+    assert is_maximal_book_free(saturate(g, 2, 2)[0], 2, 2) == (True, [])
+    assert all(ok for *_, ok in seen)
+    moved = [row for row in seen if (row[0], row[1]) != (row[3], row[4])]
+    assert len(moved) > 5000
+    for case in ("y0 is x", "x in stored mapping", "z is y"):
+        assert sum(_swap_cases(*row[:5])[case] for row in moved) > 20, case
+
+
+@pytest.mark.parametrize("probe, case", [
+    ((1, 2), "y0 is x"),
+    ((2, 4), "x in stored mapping"),
+    ((4, 1), "z is y"),
+])
+def test_memo_answer_in_each_swap_case(monkeypatch, probe, case):
+    """On K_{5,5} the non-edge (0, 1) stores the copy 0, 1 | 5, 2, 6 |
+    7, 3, 8, and each probe after it takes one branch of the swaps."""
+    g = complete_bipartite(5, 5)
+    seen = _spy_memo_answers(monkeypatch)
+    state = _twin_orders(g)
+    assert find_book_using_edge(g, 0, 1, 2, 2, _orders=state).mapping == (0, 1, 5, 2, 6, 7, 3, 8)
+    w = find_book_using_edge(g, *probe, 2, 2, _orders=state)
+    x0, y0, m, x, y, ok = seen[-1]
+    assert ok and (x0, y0, x, y) == (0, 1, *probe)
+    assert [c for c, hit in _swap_cases(x0, y0, m, x, y).items() if hit] == [case]
+    assert validate_witness(g, w) and w.probe == probe
 
 
 def test_shared_state_keeps_first_witnesses_on_blown_up_hosts():
