@@ -31,14 +31,13 @@ through the first onto copies through the second in the same pattern edge
 orbit, so each anchored search has one verdict per key, and so has the
 anchor, the first orbit (hub-hub, hub-page, page-interior) with a copy.
 A state whose `verdicts` is a dict stores each search's result per key
-and answers a later pair by the image of the stored witness, built by
-swapping t1's and then t2's two vertices in place in a copy of its
-mapping, which holds x0 and y0 and so t1(y0): a valid copy with the same
-anchor, not always the first the search would find.  Only callers that
-read no probe's witness turn it on: `saturate`, the maximality check,
-and `is_book_free` on its own state, which reads back only None before
-its first copy.  `_Orders.add_edge` clears it, since an added edge can
-turn a None verdict into a copy or move an anchor earlier.
+and answers a later pair with that result unchanged: None, or the copy
+found for the first pair with the key, whose `probe` names that pair and
+whose anchor is the later pair's too.  Only callers that read no probe's
+mapping turn it on: `saturate`, the maximality check, and `is_book_free`
+on its own state, whose answers are all None before its first copy, so
+that copy is a fresh search's.  `_Orders.add_edge` clears it, since an
+added edge can turn a None verdict into a copy or move an anchor earlier.
 Within one placement of the pair on a page, twin swaps off the pair fix
 the placement, so a hub pair whose ordered rows repeat a tried pair's
 fails as that one did and is skipped; the loop returns at its first
@@ -53,7 +52,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of, neighborhood
-from .pattern import book_order, build_odd_book
+from .pattern import book_order, build_odd_book, check_book_parameters
 
 MAX_SEARCH_ORDER = 512  # hosts above this order are refused: worst cases are exponential
 
@@ -419,7 +418,8 @@ def _witness(s, k, hub1, hub2, pages, anchor, probe) -> Witness:
 
 def _by_twin_key(search, orders, x, y, s, k):
     """search(orders, x, y, s, k), or, when `orders` keeps verdicts, the
-    image of the one stored under the twin key of (x, y)."""
+    result stored under the twin key of (x, y), unchanged: None, or a copy
+    with the anchor of (x, y) through the pair its `probe` names."""
     memo = orders.verdicts
     if memo is None:
         return search(orders, x, y, s, k)
@@ -428,17 +428,7 @@ def _by_twin_key(search, orders, x, y, s, k):
     w = memo.get(key, ...)
     if w is ...:
         w = memo[key] = search(orders, x, y, s, k)
-    if w is None or w.probe == (x, y):
-        return w
-    x0, y0 = w.probe if orders.adj[w.probe[0]] == rx else w.probe[::-1]
-    m = list(w.mapping)
-    for a, b in (x0, x), (x0 if y0 == x else y0, y):
-        if a != b:  # m holds a, and may hold b
-            i = m.index(a)
-            if b in m:
-                m[m.index(b)] = a
-            m[i] = b
-    return Witness(w.s, w.k, tuple(m), w.anchor, (x, y))
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +441,10 @@ def find_book_at_edge(
     """Copy with hub edge exactly (x, y), probing G+xy; exhaustive.
 
     The pair may or may not be an edge of g: the s pages never traverse it.
+    An `_orders` that keeps verdicts may answer with a twin pair's copy,
+    which its `probe` names.
     """
+    check_book_parameters(s, k)
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"probe pair ({x}, {y}) must be two distinct vertices of g")
     orders = _orders if _orders is not None else _neighbor_orders(g)
@@ -528,7 +521,7 @@ def find_book_using_edge(
     position; None only when no such copy exists (exhaustive).
 
     A copy needs book_order(s, k) distinct vertices, so on a smaller host
-    the page-edge search is skipped.
+    the page-edge search is skipped.  `_orders`: as in `find_book_at_edge`.
     """
     orders = _orders if _orders is not None else _neighbor_orders(g)
     w = find_book_at_edge(g, x, y, s, k, _orders=orders)
@@ -553,6 +546,7 @@ def is_book_free(g: Graph, s: int, k: int, _orders=None) -> tuple[bool, Witness 
     witness is the first copy in edge-lexicographic search order.  Hosts
     over MAX_SEARCH_ORDER are refused here, and so by every whole-graph
     check: maximality and saturation start with this search."""
+    check_book_parameters(s, k)
     check_search_order(g.n)
     orders = _orders if _orders is not None else _twin_orders(g)
     for u, v in g.edges():

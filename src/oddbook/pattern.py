@@ -34,10 +34,15 @@ def book_size(s: int, k: int) -> int:
     return 2 * k * s + 1
 
 
-def build_odd_book(s: int, k: int) -> OddBook:
-    """Deterministic construction: hubs 0 and 1, pages numbered consecutively."""
+def check_book_parameters(s: int, k: int) -> None:
+    """Refuse, with ValueError, an odd book with s < 1 or k < 1."""
     if s < 1 or k < 1:
         raise ValueError("odd book needs s >= 1 and k >= 1")
+
+
+def build_odd_book(s: int, k: int) -> OddBook:
+    """Deterministic construction: hubs 0 and 1, pages numbered consecutively."""
+    check_book_parameters(s, k)
     n = book_order(s, k)
     g = Graph(n)
     g.add_edge(0, 1)

@@ -283,18 +283,6 @@ def find_book_using_edge_ref(g: Graph, x: int, y: int, s: int, k: int):
     return None
 
 
-def twin_image_ref(adj, w, x, y) -> tuple[int, ...]:
-    """Mapping of the stored witness w carried onto the probe (x, y), whose
-    twin key it shares, by the dict form of t1 = (x0 x) and
-    t2 = (t1(y0) y); adj is the host's rows when the probe is made."""
-    x0, y0 = w.probe if adj[w.probe[0]] == adj[x] else w.probe[::-1]
-    t1 = {x0: x, x: x0}
-    z = t1.get(y0, y0)
-    t2 = {z: y, y: z}
-    mapping = tuple(map(t1.get, w.mapping, w.mapping))
-    return tuple(map(t2.get, mapping, mapping))
-
-
 # The biclique greedy seed and branch and bound as they were before the
 # canonical class order, the whole-class steps and the greedy bound: the
 # greedy places one vertex per step, and the branch and bound runs on the

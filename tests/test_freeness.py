@@ -39,7 +39,6 @@ from .oracles import (
     iter_paths_ref,
     layers_admit_ref,
     neighbor_orders_ref,
-    twin_image_ref,
 )
 
 
@@ -88,6 +87,28 @@ def test_probe_rejects_equal_endpoints():
         for x, y in ((0, 9), (0, 6), (-1, 3)):
             with pytest.raises(ValueError, match=rf"probe pair \({x}, {y}\)"):
                 probe(k33, x, y, 2, 2)
+
+
+def _probe_pendant_pair(g, s, k):
+    return find_book_using_edge(g, 0, 3, s, k)
+
+
+@pytest.mark.parametrize("check, s, k", [
+    (is_book_free, 1, 0),
+    (is_maximal_book_free, -1, 2),
+    (is_book_free, 2, -1),
+    (is_book_free, 0, 1),
+    (_probe_pendant_pair, 0, 2),
+])
+def test_checks_refuse_what_build_odd_book_refuses(check, s, k):
+    """There is no odd book with s < 1 or k < 1 to search for: each entry
+    point refuses the parameters as the pattern does, on a triangle with a
+    pendant edge instead of answering free, a failing list, an IndexError
+    or a two-vertex witness, and on the edgeless graph, where the edge scan
+    makes no probe."""
+    for g in (Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), Graph(4)):
+        with pytest.raises(ValueError, match="odd book needs s >= 1 and k >= 1"):
+            check(g, s, k)
 
 
 def test_bipartite_graphs_are_free(rng):
@@ -740,10 +761,11 @@ def test_saturate_searches_again_after_a_class_splits():
 
 
 def test_stored_witnesses_are_valid_copies_with_the_fresh_anchor():
-    """A witness answered from a stored verdict, edge or non-edge, with the
-    key's rows in either order, is a valid copy through the probe pair in
-    the pattern edge orbit that a fresh search names first."""
-    mapped = 0
+    """A state that keeps verdicts answers each pair, edge or non-edge, with
+    None exactly when a fresh search does, and otherwise with a valid copy
+    through its recorded probe, a pair with the asked pair's twin key, in
+    the pattern edge orbit that a fresh search for the asked pair names."""
+    moved = 0
     for seed in range(24):
         s, k = _BLOWN_UP_SK[seed % 4]
         g = _blown_up(random.Random(seed), s, k)
@@ -756,80 +778,38 @@ def test_stored_witnesses_are_valid_copies_with_the_fresh_anchor():
                 assert (w is None) == (fresh is None)
                 if w is not None:
                     assert validate_witness(g, w)
-                    assert (w.anchor, w.probe) == (fresh.anchor, (x, y))
-                    mapped += w.mapping != fresh.mapping
-    assert mapped > 100
+                    assert sorted(g.adj[v] for v in w.probe) == sorted((g.adj[x], g.adj[y]))
+                    assert w.anchor == fresh.anchor
+                    moved += w.probe != (x, y)
+    assert moved > 100
 
 
-def _spy_memo_answers(monkeypatch):
-    """Record each witness answered by a state that keeps verdicts as
-    (x0, y0, stored mapping, x, y, matches twin_image_ref), with (x0, y0)
-    the stored probe ordered by the row of x when the probe is made."""
-    real, seen = freeness._by_twin_key, []
-
-    def spy(search, orders, x, y, s, k):
-        w = real(search, orders, x, y, s, k)
-        if orders.verdicts is not None and w is not None:
-            adj = orders.adj
-            stored = orders.verdicts[search, min(adj[x], adj[y]), max(adj[x], adj[y])]
-            x0, y0 = stored.probe if adj[stored.probe[0]] == adj[x] else stored.probe[::-1]
-            ok = w.mapping == twin_image_ref(adj, stored, x, y)
-            seen.append((x0, y0, stored.mapping, x, y, ok))
-        return w
-
-    monkeypatch.setattr(freeness, "_by_twin_key", spy)
-    return seen
+def _first_copy_unmemoised(g, s, k):
+    """First copy of the edge scan of is_book_free, on a state that keeps
+    no verdicts."""
+    orders = _neighbor_orders(g)
+    for u, v in g.edges():
+        w = find_book_at_edge(g, u, v, s, k, _orders=orders)
+        if w is not None:
+            return w
+    return None
 
 
-def _swap_cases(x0, y0, m, x, y):
-    """The branches of the in-place swaps a memo answer takes."""
-    z = x0 if y0 == x else y0
-    return {"y0 is x": y0 == x, "x in stored mapping": x not in (x0, y0) and x in m,
-            "z is y": z == y}
-
-
-def test_memo_answers_match_the_transposition_formula(monkeypatch):
-    """Every witness a twin-key memo answers, edges through
-    find_book_at_edge and non-edges through find_book_using_edge in both
-    orders on blown-up hosts over the four books, and every probe of
-    saturate and the maximality check on the n = 64 member, has the
-    mapping of the dict form of t1 and t2; each swap branch is taken."""
-    seen = _spy_memo_answers(monkeypatch)
-    for seed in range(48):
+def test_book_free_witness_is_the_first_copy_of_a_fresh_scan():
+    """is_book_free's memo answers only None before its first copy, so its
+    witness is the one a scan without the memo finds first, with no anchor
+    or probe; checked while hub edges are deleted until the host is free."""
+    for seed in range(24):
         s, k = _BLOWN_UP_SK[seed % 4]
         g = _blown_up(random.Random(seed), s, k)
-        state = _twin_orders(g)
-        for x in range(g.n):
-            for y in range(g.n):
-                if x != y:
-                    probe = find_book_at_edge if g.has_edge(x, y) else find_book_using_edge
-                    probe(g, x, y, s, k, _orders=state)
-    g = build_min_member(plan_layout(64, 2, 2, Fraction(1, 2))).graph
-    assert is_maximal_book_free(saturate(g, 2, 2)[0], 2, 2) == (True, [])
-    assert all(ok for *_, ok in seen)
-    moved = [row for row in seen if (row[0], row[1]) != (row[3], row[4])]
-    assert len(moved) > 5000
-    for case in ("y0 is x", "x in stored mapping", "z is y"):
-        assert sum(_swap_cases(*row[:5])[case] for row in moved) > 20, case
-
-
-@pytest.mark.parametrize("probe, case", [
-    ((1, 2), "y0 is x"),
-    ((2, 4), "x in stored mapping"),
-    ((4, 1), "z is y"),
-])
-def test_memo_answer_in_each_swap_case(monkeypatch, probe, case):
-    """On K_{5,5} the non-edge (0, 1) stores the copy 0, 1 | 5, 2, 6 |
-    7, 3, 8, and each probe after it takes one branch of the swaps."""
-    g = complete_bipartite(5, 5)
-    seen = _spy_memo_answers(monkeypatch)
-    state = _twin_orders(g)
-    assert find_book_using_edge(g, 0, 1, 2, 2, _orders=state).mapping == (0, 1, 5, 2, 6, 7, 3, 8)
-    w = find_book_using_edge(g, *probe, 2, 2, _orders=state)
-    x0, y0, m, x, y, ok = seen[-1]
-    assert ok and (x0, y0, x, y) == (0, 1, *probe)
-    assert [c for c, hit in _swap_cases(x0, y0, m, x, y).items() if hit] == [case]
-    assert validate_witness(g, w) and w.probe == probe
+        while True:
+            free, witness = is_book_free(g, s, k)
+            first = _first_copy_unmemoised(g, s, k)
+            assert free == (first is None)
+            if free:
+                break
+            assert (witness.mapping, witness.anchor, witness.probe) == (first.mapping, None, None)
+            g.delete_edge(*witness.hub_edge)
 
 
 def test_shared_state_keeps_first_witnesses_on_blown_up_hosts():
