@@ -207,8 +207,8 @@ class BlockLayout:
         if not 0 < alpha <= Fraction(1, 2):
             raise ValueError("layout key 'alpha' outside (0, 1/2]")
         layout = cls(doc["n"], doc["s"], doc["k"], alpha, doc["base"], doc["block_size"])
-        if min(layout.n, layout.s, layout.k, layout.base, layout.block_size) < 1:
-            raise ValueError("layout sizes n, s, k, base and block_size must be positive")
+        if min(layout.n, layout.base, layout.block_size) < 1 or min(layout.s, layout.k) < 2:
+            raise ValueError("layout needs positive n, base and block_size, and s, k >= 2")
         # 2 ** s > n already rules out base >= 2, without computing base ** s
         if (layout.base > 1 and layout.s >= layout.n.bit_length()) or layout.residual < 0:
             raise ValueError(f"layout geometry does not fit in n={layout.n}")

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of, neighborhood
@@ -149,18 +148,18 @@ class _Orders(dict):
     `orders[v]` lists the neighbors of v in ascending (degree, id) order, the
     order every search visits them in.  A row is sorted when a search first
     reads it, because a search that stops early reads few rows.  `deg` holds
-    the degrees and `_rank` the key deg * n + id, in (degree, id) order; walk
-    masks are memoised per goal and degree masks per bound.  The object
-    reads the graph's adjacency list in place; `add_edge` adds an edge to
-    it.  A caller that sets `deg` to all zeros before the first read gets
-    rows in ascending id order instead; it must then call neither
-    `add_edge` nor `high`.  `verdicts`: see the module docstring.
+    the degrees; walk masks are memoised per goal and degree masks per
+    bound.  The object reads the graph's adjacency list in place;
+    `add_edge` adds an edge to it.  A caller that sets `deg` to all zeros
+    before the first read gets rows in ascending id order instead; it must
+    then call neither `add_edge` nor `high`.  `verdicts`: see the module
+    docstring.
 
     `add_edge` leaves the state equal to a fresh one of the new graph.  An
-    added edge uv changes the key of u and v alone, and only the rows of
-    N(u) | N(v) hold them, so moving u and v within those lists keeps every
-    cached row sorted.  A degree crosses a bound at most once.  Walks are
-    only gained, so walk masks only grow: W'_0 = W_0 and W'_{d+1} =
+    added edge uv changes the degree of u and v alone, and only the rows of
+    N'(u) | N'(v) hold u or v, so dropping those rows leaves every cached
+    row current.  A degree crosses a bound at most once.  Walks are only
+    gained, so walk masks only grow: W'_0 = W_0 and W'_{d+1} =
     N'(W'_d) = W_{d+1} | N'(W'_d - W_d) | the crossings of uv from W'_d,
     where N' is the neighborhood with uv.  Walks reverse (x in W_d(y) iff
     y in W_d(x)), so only the goals in the union over d of
@@ -169,13 +168,12 @@ class _Orders(dict):
     entered W_d(g) from u in W_{d-1}(g), or u from v.
     """
 
-    __slots__ = ("adj", "deg", "_rank", "_walks", "_high", "verdicts")
+    __slots__ = ("adj", "deg", "_walks", "_high", "verdicts")
 
     def __init__(self, g: Graph):
         super().__init__()
         self.adj = g.adj
         self.deg = [row.bit_count() for row in g.adj]
-        self._rank = [d * g.n + z for z, d in enumerate(self.deg)]
         self._walks: dict[int, list[int]] = {}
         self._high: dict[int, int] = {}
         self.verdicts: dict | None = None
@@ -205,11 +203,11 @@ class _Orders(dict):
     def add_edge(self, u: int, v: int) -> None:
         """Add the non-edge uv to the graph and catch up: from the old masks
         of u and v, find the goals whose walk masks change; set the two
-        adjacency bits; raise the degree of u, then of v, add it to the
-        degree masks it now passes, and move it right in the cached rows
-        that hold it (every other key there is current; the row of the
-        other end gains it); grow the walk masks of those goals; clear verdicts."""
-        deg, adj, high, rank, memo = self.deg, self.adj, self._high, self._rank, self._walks
+        adjacency bits; raise the degrees of u and v and add each to the
+        degree masks it now passes; drop the cached rows of N'(u) | N'(v),
+        to be re-sorted when next read; grow the walk masks of those goals;
+        clear verdicts."""
+        deg, adj, high, memo = self.deg, self.adj, self._high, self._walks
         top = max(map(len, memo.values()), default=1) - 1
         stale = 0
         if top:
@@ -218,17 +216,12 @@ class _Orders(dict):
                 stale |= wu[d - 1] & ~wv[d] | wv[d - 1] & ~wu[d]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        for x, y in ((u, v), (v, u)):
+        for x in (u, v):
             if deg[x] in high:  # the new degree passes the bound s = deg[x]
                 high[deg[x]] |= 1 << x
             deg[x] += 1
-            rank[x] += len(adj)
-            for w in bits(adj[x]):
-                row = self.get(w)
-                if row is not None:
-                    if w != y:
-                        row.remove(x)
-                    row.insert(bisect_left(row, rank[x], key=rank.__getitem__), x)
+        for w in bits(adj[u] | adj[v]):
+            self.pop(w, None)
         for goal in bits(stale):
             masks = memo.get(goal, ())  # a goal never read has no masks
             gained = 0  # W'_{d-1} - W_{d-1}
@@ -454,6 +447,8 @@ def find_book_at_edge(
 
 
 def _find_hub_anchored(orders, x, y, s, k):
+    if len(orders.adj) < book_order(s, k):  # no room for a copy
+        return None
     pages = _find_pages(orders, x, y, s, 2 * k, 0)
     if pages is None:
         return None

@@ -325,6 +325,14 @@ def test_layout_json_rejects_bad_sizes(key, value, message):
         BlockLayout.from_json(doc)
 
 
+@pytest.mark.parametrize("s, k", [(2, 1), (1, 2), (1, 1)])
+def test_layout_json_refuses_what_plan_layout_refuses(s, k):
+    # this geometry fits in n = 20, but a layout needs s >= 2 and k >= 2
+    doc = BlockLayout(20, s, k, Fraction(1, 2), base=2, block_size=1).to_json()
+    with pytest.raises(ValueError, match="s, k >= 2"):
+        BlockLayout.from_json(doc)
+
+
 def test_min_member_rows_pass_validation():
     for n in range(64, 129):
         g = build_min_member(plan_layout(n, 2, 2, Fraction(1, 2))).graph

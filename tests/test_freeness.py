@@ -330,11 +330,13 @@ def test_probe_witness_matches_unpruned_search(seed, host):
 def test_hosts_smaller_than_the_pattern(monkeypatch):
     """The (2, 3) book has 12 vertices, so on 10-vertex hosts every pair is
     added and every non-edge fails maximality, as the naive enumerator
-    says; the search that anchors the pair on a page never runs."""
+    says; neither the page search of a hub-anchored probe nor the search
+    that anchors the pair on a page runs."""
 
     def never(*args):
-        raise AssertionError("page-anchored search on a host too small for a copy")
+        raise AssertionError("search on a host too small for a copy")
 
+    monkeypatch.setattr(freeness, "_find_pages", never)
     monkeypatch.setattr(freeness, "_find_page_anchored", never)
     rng = random.Random(23)
     for _ in range(4):
@@ -563,32 +565,13 @@ def test_layer_bound_matches_uncut_sweep(seed):
                 )
 
 
-def test_incremental_orders_match_fresh(rng):
-    for _ in range(20):
-        n = rng.randrange(5, 16)
-        g = random_graph(n, 0.3, rng)
-        orders = _neighbor_orders(g)
-        for w in range(n):
-            orders[w]  # sort every row now, so that a stale one would show
-        orders.walks(0, 3)
-        orders.high(2)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-        rng.shuffle(pairs)
-        for u, v in pairs[:6]:
-            orders.add_edge(u, v)
-            fresh = _neighbor_orders(g)
-            assert [orders[w] for w in range(n)] == [fresh[w] for w in range(n)]
-            assert orders.deg == fresh.deg
-            assert orders.walks(0, 3) == fresh.walks(0, 3)
-            assert orders.high(2) == fresh.high(2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.sampled_from([(2, 2), (2, 3), (3, 2)]))
 def test_incremental_upkeep_matches_fresh_state(seed, sk):
-    """Rows moved by bisect, and degree and walk masks grown in place, equal
-    the state built from scratch after every added edge, for every memoised
-    degree bound and goal."""
+    """Every row is sorted before each added edge.  After it, the rows still
+    held, every row read again, and the degree and walk masks grown in place
+    equal the state built from scratch, for every memoised degree bound and
+    goal; the rows that hold neither end of the edge are still held."""
     s, k = sk
     rng = random.Random(seed)
     n = rng.randrange(2, 4 * s * k)
@@ -604,7 +587,10 @@ def test_incremental_upkeep_matches_fresh_state(seed, sk):
     for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
         orders.add_edge(u, v)
         fresh = _neighbor_orders(g)
-        assert dict(orders) == {w: fresh[w] for w in range(n)}
+        ends = g.adj[u] | g.adj[v]  # the rows that hold u or v
+        assert all(w in orders for w in range(n) if not ends >> w & 1)
+        assert dict(orders) == {w: fresh[w] for w in orders}
+        assert [orders[w] for w in range(n)] == [fresh[w] for w in range(n)]
         assert orders.deg == fresh.deg
         assert orders._high == {t: fresh.high(t) for t in range(4)}
         assert len(orders._walks) == n
@@ -619,13 +605,15 @@ def test_add_edge_matches_fresh_state_at_mixed_depths(seed, k):
     """Before each added edge a random set of goals is memoised, each at a
     depth in 0..2k-1, and a random set of rows and degree bounds is read,
     so some goals, rows and bounds are never read and the ends of the pair
-    are often not memoised.  After the edge, every row, degree, rank,
-    degree mask and walk mask held equals a fresh state's."""
+    are often not memoised.  After the edge, every row, degree, degree mask
+    and walk mask held equals a fresh state's, a held row that holds
+    neither end of the edge is still held, and every row read before the
+    next edge equals a fresh state's."""
     rng = random.Random(seed)
     n = rng.randrange(2, 16)
     g = random_graph(n, rng.uniform(0.05, 0.6), rng)
     ref = g.copy()
-    orders = _neighbor_orders(g)
+    orders, fresh = _neighbor_orders(g), _neighbor_orders(ref)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
     rng.shuffle(pairs)
     for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
@@ -633,14 +621,17 @@ def test_add_edge_matches_fresh_state_at_mixed_depths(seed, k):
             if rng.random() < 0.4:
                 orders.walks(w, rng.randrange(2 * k))
             if rng.random() < 0.4:
-                orders[w]
+                assert orders[w] == fresh[w]
         orders.high(rng.randrange(4))
+        held = list(orders)
         orders.add_edge(u, v)
         ref.add_edge(u, v)
         assert g == ref
         fresh = _neighbor_orders(ref)
+        ends = ref.adj[u] | ref.adj[v]  # the rows that hold u or v
+        assert all(w in orders for w in held if not ends >> w & 1)
         assert dict(orders) == {w: fresh[w] for w in orders}
-        assert (orders.deg, orders._rank) == (fresh.deg, fresh._rank)
+        assert orders.deg == fresh.deg
         assert orders._high == {t: fresh.high(t) for t in orders._high}
         for goal, masks in orders._walks.items():
             assert masks == fresh.walks(goal, len(masks) - 1)
@@ -834,26 +825,29 @@ def _runs(u, lo, hi):
 
 
 SATURATE_ADDED = {
-    64: [(32, 34), (32, 37), *_runs(32, 44, 54), (34, 35), *_runs(34, 54, 64),
-         (35, 37), (38, 40), (38, 43), (40, 41), (41, 43)],
-    128: [(40, 42), (40, 45), *_runs(40, 52, 90), (42, 43), *_runs(42, 90, 128),
-          (43, 45), (46, 48), (46, 51), (48, 49), (49, 51)],
+    (2, 64): [(32, 34), (32, 37), *_runs(32, 44, 54), (34, 35), *_runs(34, 54, 64),
+              (35, 37), (38, 40), (38, 43), (40, 41), (41, 43)],
+    (2, 128): [(40, 42), (40, 45), *_runs(40, 52, 90), (42, 43), *_runs(42, 90, 128),
+               (43, 45), (46, 48), (46, 51), (48, 49), (49, 51)],
+    (3, 40): [(0, 5), (0, 6), (0, 8), (0, 11), (1, 8), (1, 11), (4, 9), (7, 9), (10, 12)],
 }
 
 
 # sha256 of json.dumps(added) where the list is too long to spell out
 SATURATE_ADDED_SHA256 = {
-    256: "c27d0b374bb865a6d3f519f7ba24e0c71d70b17bdd695246499cd4f08092bcc9",
+    (2, 256): "c27d0b374bb865a6d3f519f7ba24e0c71d70b17bdd695246499cd4f08092bcc9",
 }
 
 
-@pytest.mark.parametrize("n, count", [(64, 28), (128, 84), (256, 144)])
-def test_saturate_added_edges_pinned(n, count):
-    g = build_min_member(plan_layout(n, 2, 2, Fraction(1, 2))).graph
-    out, added = saturate(g, 2, 2)
+# the (2, 2) cases keep the ids n-count that recorded runs name
+@pytest.mark.parametrize("s, n, count", [(2, 64, 28), (2, 128, 84), (2, 256, 144), (3, 40, 9)],
+                         ids=["64-28", "128-84", "256-144", "s3-40-9"])
+def test_saturate_added_edges_pinned(s, n, count):
+    g = build_min_member(plan_layout(n, s, 2, Fraction(1, 2))).graph
+    out, added = saturate(g, s, 2)
     assert len(added) == count
-    if n in SATURATE_ADDED:
-        assert added == SATURATE_ADDED[n]
+    if (s, n) in SATURATE_ADDED:
+        assert added == SATURATE_ADDED[s, n]
     else:
-        assert hashlib.sha256(json.dumps(added).encode()).hexdigest() == SATURATE_ADDED_SHA256[n]
-    assert is_maximal_book_free(out, 2, 2) == (True, [])
+        assert hashlib.sha256(json.dumps(added).encode()).hexdigest() == SATURATE_ADDED_SHA256[s, n]
+    assert is_maximal_book_free(out, s, 2) == (True, [])
