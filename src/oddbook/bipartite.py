@@ -22,6 +22,7 @@ from .graph import (
     induced_subgraph,
     is_independent,
     mask_of,
+    twin_classes,
     two_coloring,
 )
 
@@ -113,7 +114,7 @@ def greedy_biclique(g: Graph) -> Biclique:
     adj = g.adj
     twins = [0] * g.n  # the false-twin class of each vertex
     firsts = 0  # the first vertex of each class
-    for group in _twin_classes(g):
+    for group in twin_classes(g):
         cls = mask_of(group)
         for v in group:
             twins[v] = cls
@@ -160,20 +161,6 @@ def greedy_biclique(g: Graph) -> Biclique:
     return best
 
 
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """Groups of vertices with identical open neighborhoods (false twins),
-    in order of their first vertex.
-
-    Such a class is independent and sits wholly inside one side of some
-    maximum biclique or wholly outside it, so searching over whole classes
-    is lossless for the maximum size.
-    """
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v], []).append(v)
-    return list(groups.values())
-
-
 def max_induced_complete_bipartite(
     g: Graph, budget: int = 10 ** 7
 ) -> BicliqueSearch:
@@ -181,7 +168,9 @@ def max_induced_complete_bipartite(
 
     Each decision places or drops a whole false-twin class, so the
     candidate sets stay unions of whole classes and a set's popcount is
-    the weight of its classes.  The bound is the committed size plus the
+    the weight of its classes.  This is lossless: a class is independent,
+    and lies wholly inside one side of some maximum biclique or wholly
+    outside it.  The bound is the committed size plus the
     popcount of all candidates still consistent with a side.  Each node
     branches on the heaviest open class, ties to the class with the
     smallest first vertex: the vertices are relabeled once so that the
@@ -200,7 +189,7 @@ def max_induced_complete_bipartite(
         return BicliqueSearch(
             best=Biclique(0, 0), optimal=True, nodes=0, upper_bound=0, budget=budget
         )
-    classes = sorted(_twin_classes(g), key=lambda c: -len(c))
+    classes = sorted(twin_classes(g), key=lambda c: -len(c))
     order = [v for c in classes for v in c]  # canonical id -> vertex
     label = {v: i for i, v in enumerate(order)}
     adj = [0] * g.n  # rows over canonical ids
@@ -313,15 +302,22 @@ def greedy_odd_cycle_transversal(g: Graph) -> int:
     """Vertices whose removal leaves a bipartite graph: repeatedly find an
     odd cycle and drop its minimum-degree vertex (ties to the smaller id).
     Deterministic; not minimum, but small on nearly bipartite graphs."""
+    return _odd_cycle_transversal(g, g.n)
+
+
+def _odd_cycle_transversal(g: Graph, cap: int) -> int:
+    """The greedy transversal, or its first cap + 1 vertices once it
+    grows past `cap`."""
     removed = 0
     scope = g.vertex_mask
-    while True:
+    for _ in range(cap + 1):
         cyc = find_odd_cycle(g, within=scope)
         if cyc is None:
-            return removed
+            break
         victim = min(cyc, key=lambda v: (g.degree(v), v))
         scope &= ~(1 << victim)
         removed |= 1 << victim
+    return removed
 
 
 def build_uvt_partition(
@@ -337,13 +333,13 @@ def build_uvt_partition(
     2-coloring.  When the transversal exceeds n/3 the graph is nowhere near
     bipartite and a seeded local-search max cut is used instead, with
     overloaded vertices (more than h same-side neighbors) moved to the
-    exceptional set.
+    exceptional set; the transversal stops as soon as it passes n/3.
 
     Then greedily: while an exceptional vertex has between 1 and h
     neighbors in a side, that whole neighborhood moves to the exceptional
     set.  Each move shrinks the sides, so this terminates.
     """
-    exceptional = greedy_odd_cycle_transversal(g)
+    exceptional = _odd_cycle_transversal(g, g.n // 3)
     if 3 * exceptional.bit_count() <= g.n:
         left, right = two_coloring(g, within=g.vertex_mask & ~exceptional)
         method = "transversal" if exceptional else "two-coloring"

@@ -30,14 +30,24 @@ x in N(y)).  An automorphism that maps one probe onto another maps copies
 through the first onto copies through the second in the same pattern edge
 orbit, so each anchored search has one verdict per key, and so has the
 anchor, the first orbit (hub-hub, hub-page, page-interior) with a copy.
-A state whose `verdicts` is a dict stores each search's result per key
-and answers a later pair with that result unchanged: None, or the copy
-found for the first pair with the key, whose `probe` names that pair and
-whose anchor is the later pair's too.  Only callers that read no probe's
-mapping turn it on: `saturate`, the maximality check, and `is_book_free`
-on its own state, whose answers are all None before its first copy, so
-that copy is a fresh search's.  `_Orders.add_edge` clears it, since an
-added edge can turn a None verdict into a copy or move an anchor earlier.
+More automorphisms come from the false-twin quotient: each row is a
+union of whole classes, so the graph is the blow-up of its quotient, and
+a quotient automorphism that keeps class sizes, checked as such by
+`graph.quotient_automorphisms`, lifts to the graph.  It keeps degrees and
+maps the row of a class onto the row of its image, so twin keys onto twin
+keys, and the verdict and anchor are constant on each orbit of keys.
+A state whose `verdicts` is a dict stores each search's result under
+every key of its pair's orbit under `symmetries` (the generators, as maps
+from class row to image row) and answers a later pair with that result
+unchanged: None, or the copy found for the first pair of the orbit, whose
+`probe` names that pair and whose anchor is the later pair's too.  Only
+callers that read no probe's mapping turn it on: `saturate`, the
+maximality check, and `is_book_free` on its own state, whose answers are
+all None before its first copy, so that copy is a fresh search's.  Only
+`_free_non_edges`, for the checks that probe every non-edge, finds
+generators: `is_book_free` alone often stops within a few probes.
+`_Orders.add_edge` clears both, since an added edge can turn a None
+verdict into a copy or move an anchor earlier, and changes the classes.
 Within one placement of the pair on a page, twin swaps off the pair fix
 the placement, so a hub pair whose ordered rows repeat a tried pair's
 fails as that one did and is skipped; the loop returns at its first
@@ -50,7 +60,7 @@ import functools
 import os
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of, neighborhood
+from .graph import Graph, bits, mask_of, neighborhood, quotient_automorphisms, twin_classes
 from .pattern import book_order, build_odd_book, check_book_parameters
 
 MAX_SEARCH_ORDER = 512  # hosts above this order are refused: worst cases are exponential
@@ -152,8 +162,8 @@ class _Orders(dict):
     bound.  The object reads the graph's adjacency list in place;
     `add_edge` adds an edge to it.  A caller that sets `deg` to all zeros
     before the first read gets rows in ascending id order instead; it must
-    then call neither `add_edge` nor `high`.  `verdicts`: see the module
-    docstring.
+    then call neither `add_edge` nor `high`.  `verdicts` and `symmetries`:
+    see the module docstring.
 
     `add_edge` leaves the state equal to a fresh one of the new graph.  An
     added edge uv changes the degree of u and v alone, and only the rows of
@@ -168,7 +178,7 @@ class _Orders(dict):
     entered W_d(g) from u in W_{d-1}(g), or u from v.
     """
 
-    __slots__ = ("adj", "deg", "_walks", "_high", "verdicts")
+    __slots__ = ("adj", "deg", "_walks", "_high", "verdicts", "symmetries")
 
     def __init__(self, g: Graph):
         super().__init__()
@@ -177,6 +187,7 @@ class _Orders(dict):
         self._walks: dict[int, list[int]] = {}
         self._high: dict[int, int] = {}
         self.verdicts: dict | None = None
+        self.symmetries: list[dict[int, int]] = []
 
     def __missing__(self, v: int) -> list[int]:
         # bits() yields ascending ids and the sort is stable: (degree, id)
@@ -206,7 +217,7 @@ class _Orders(dict):
         adjacency bits; raise the degrees of u and v and add each to the
         degree masks it now passes; drop the cached rows of N'(u) | N'(v),
         to be re-sorted when next read; grow the walk masks of those goals;
-        clear verdicts."""
+        clear verdicts and symmetries."""
         deg, adj, high, memo = self.deg, self.adj, self._high, self._walks
         top = max(map(len, memo.values()), default=1) - 1
         stale = 0
@@ -232,6 +243,7 @@ class _Orders(dict):
                 gained, masks[d] = grown & ~masks[d], grown
         if self.verdicts:
             self.verdicts.clear()
+        self.symmetries = []
 
 
 def _neighbor_orders(g: Graph) -> _Orders:
@@ -412,7 +424,8 @@ def _witness(s, k, hub1, hub2, pages, anchor, probe) -> Witness:
 def _by_twin_key(search, orders, x, y, s, k):
     """search(orders, x, y, s, k), or, when `orders` keeps verdicts, the
     result stored under the twin key of (x, y), unchanged: None, or a copy
-    with the anchor of (x, y) through the pair its `probe` names."""
+    with the anchor of (x, y) through the pair its `probe` names, which may
+    be any pair of the orbit of (x, y)."""
     memo = orders.verdicts
     if memo is None:
         return search(orders, x, y, s, k)
@@ -421,6 +434,14 @@ def _by_twin_key(search, orders, x, y, s, k):
     w = memo.get(key, ...)
     if w is ...:
         w = memo[key] = search(orders, x, y, s, k)
+        orbit = [key]
+        for _, rx, ry in orbit:  # the orbit grows while it is read
+            for p in orders.symmetries:
+                a, b = p[rx], p[ry]
+                image = (search, a, b) if a < b else (search, b, a)
+                if image not in memo:
+                    memo[image] = w
+                    orbit.append(image)
     return w
 
 
@@ -434,8 +455,8 @@ def find_book_at_edge(
     """Copy with hub edge exactly (x, y), probing G+xy; exhaustive.
 
     The pair may or may not be an edge of g: the s pages never traverse it.
-    An `_orders` that keeps verdicts may answer with a twin pair's copy,
-    which its `probe` names.
+    An `_orders` that keeps verdicts may answer with the copy found for
+    another pair of the orbit of (x, y), which its `probe` names.
     """
     check_book_parameters(s, k)
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
@@ -516,7 +537,8 @@ def find_book_using_edge(
     position; None only when no such copy exists (exhaustive).
 
     A copy needs book_order(s, k) distinct vertices, so on a smaller host
-    the page-edge search is skipped.  `_orders`: as in `find_book_at_edge`.
+    the page-edge search is skipped.  `_orders`: as in `find_book_at_edge`;
+    a stored answer's `probe` may name any pair of the orbit of (x, y).
     """
     orders = _orders if _orders is not None else _neighbor_orders(g)
     w = find_book_at_edge(g, x, y, s, k, _orders=orders)
@@ -552,9 +574,15 @@ def is_book_free(g: Graph, s: int, k: int, _orders=None) -> tuple[bool, Witness 
 
 
 def _free_non_edges(g: Graph, s: int, k: int) -> tuple[_Orders, list[tuple[int, int]]]:
-    """Search state of g and its non-edges in lexicographic order, once g is
-    certified free; raises NotBookFreeError with the first copy otherwise."""
+    """Search state of g, with the symmetries of g's quotient, and its
+    non-edges in lexicographic order, once g is certified free; raises
+    NotBookFreeError with the first copy otherwise."""
+    check_search_order(g.n)  # before the quotient is built
     orders = _twin_orders(g)
+    classes = twin_classes(g)
+    rows = [g.adj[c[0]] for c in classes]
+    orders.symmetries = [dict(zip(rows, map(rows.__getitem__, p)))
+                         for p in quotient_automorphisms(g, classes)]
     free, witness = is_book_free(g, s, k, _orders=orders)
     if not free:
         raise NotBookFreeError(witness)

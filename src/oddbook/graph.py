@@ -223,6 +223,107 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """Groups of vertices with identical rows (false twins), in order of
+    their first vertex.  No vertex is in its own row, so each class is
+    independent."""
+    groups: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj):
+        groups.setdefault(row, []).append(v)
+    return list(groups.values())
+
+
+def _refine(qadj: list[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Split the ordered cells (vertex masks), in place, until each has one
+    neighbor count toward every splitter in `queue`, first in first out.
+    A split cell's parts take its place in ascending count, and all but the
+    first largest join the queue: counts toward that one are those toward
+    the cell, less those toward the others.  The result is equitable, and
+    its order depends on no label."""
+    for w in queue:  # the queue grows while it is read
+        if len(cells) == len(qadj):  # discrete
+            break
+        near = neighborhood(qadj, w)
+        for i in reversed([i for i, c in enumerate(cells) if c & near and c & (c - 1)]):
+            parts: dict[int, int] = {}
+            for v in bits(cells[i]):
+                d = (qadj[v] & w).bit_count()
+                parts[d] = parts.get(d, 0) | 1 << v
+            if len(parts) > 1:
+                split = cells[i:i + 1] = [parts[d] for d in sorted(parts)]
+                big = max(split, key=int.bit_count)
+                queue += [part for part in split if part != big]
+    return cells
+
+
+def _individualise(qadj: list[int], cells: list[int], t: int, v: int) -> list[int]:
+    """Put v before the rest of its cell, cells[t], and refine."""
+    return _refine(qadj, cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1:], [1 << v])
+
+
+def _descend(qadj: list[int], cells: list[int], path: list) -> list[int]:
+    """Individualise the first vertex of the first non-singleton cell, and
+    again, until every cell is a singleton; append (cells, t, v) to `path`
+    at each level and return the leaf's vertices in cell order."""
+    while (t := next((i for i, c in enumerate(cells) if c & (c - 1)), None)) is not None:
+        v = (cells[t] & -cells[t]).bit_length() - 1
+        path.append((cells, t, v))
+        cells = _individualise(qadj, cells, t, v)
+    return [c.bit_length() - 1 for c in cells]
+
+
+def quotient_automorphisms(g: Graph, classes: list[list[int]]) -> list[list[int]]:
+    """Generators of automorphisms of the false-twin quotient of g that
+    keep class sizes, each a list p sending class i of `classes` (from
+    `twin_classes(g)`) to class p[i].
+
+    Each row of g is a union of whole classes and each class is
+    independent, so g is the blow-up of its quotient, and such a p lifts
+    to an automorphism of g: the j-th vertex of class i goes to the j-th
+    vertex of class p[i].  Every candidate is checked for both properties
+    before it is kept, so the search need not be complete: a missed
+    automorphism costs a caller work, never a wrong answer.
+
+    Individualisation-refinement (McKay and Piperno, 2014) without
+    backtracking: cells start by (class size, quotient degree) and are
+    refined to an equitable ordered partition; the first path descends by
+    `_descend`.  Bottom-up along it, each other member b of a level's
+    target cell that the kept generators do not join to the path's vertex
+    (union-find) starts a descent in its place, whose leaf, mapped onto the
+    first leaf position by position, is the candidate.
+    """
+    m = len(classes)
+    of = {c[0]: i for i, c in enumerate(classes)}
+    heads = mask_of(of)
+    qadj = [mask_of(of[h] for h in bits(g.adj[c[0]] & heads)) for c in classes]
+    size = [len(c) for c in classes]
+    key = [(size[i], qadj[i].bit_count()) for i in range(m)]
+    cells = [mask_of(i for i in range(m) if key[i] == kv) for kv in sorted(set(key))]
+    path: list[tuple[list[int], int, int]] = []
+    leaf = _descend(qadj, _refine(qadj, cells, list(cells)), path)
+    orbit = list(range(m))
+
+    def find(i: int) -> int:
+        while orbit[i] != i:
+            orbit[i] = i = orbit[orbit[i]]
+        return i
+
+    gens = []
+    for cells, t, v in reversed(path):
+        for b in bits(cells[t] ^ 1 << v):
+            if find(b) == find(v):
+                continue
+            p = [0] * m
+            for a, c in zip(leaf, _descend(qadj, _individualise(qadj, cells, t, b), [])):
+                p[a] = c
+            if all(size[p[i]] == size[i] and mask_of(p[j] for j in bits(qadj[i])) == qadj[p[i]]
+                   for i in range(m)):
+                gens.append(p)
+                for i in range(m):
+                    orbit[find(i)] = find(p[i])
+    return gens
+
+
 def random_graph(n: int, p: float, rng) -> Graph:
     """G(n, p) drawn from a random.Random-like rng."""
     g = Graph(n)

@@ -9,6 +9,7 @@ from oddbook import build_min_member, plan_layout, saturate
 from oddbook.bipartite import (
     Biclique,
     LongPathResult,
+    _odd_cycle_transversal,
     build_uvt_partition,
     find_long_path,
     find_parity_path,
@@ -329,6 +330,21 @@ def test_transversal_on_odd_structures():
     assert t.bit_count() == 1
     remainder = g.vertex_mask & ~t
     assert two_coloring(g, within=remainder) is not None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_capped_transversal_is_the_full_one_or_its_first_cap_plus_one(seed):
+    """Capped, the greedy stops once the transversal passes the cap, so
+    build_uvt_partition sees the same side of 3|T| <= n either way."""
+    rng = random.Random(seed)
+    g = random_graph(rng.randrange(12, 30), rng.uniform(0.1, 0.4), rng)
+    full = greedy_odd_cycle_transversal(g)
+    for cap in range(full.bit_count() + 2):
+        capped = _odd_cycle_transversal(g, cap)
+        if full.bit_count() <= cap:
+            assert capped == full
+        else:
+            assert capped.bit_count() == cap + 1 and capped & ~full == 0
 
 
 def test_max_cut_is_deterministic():

@@ -26,8 +26,9 @@ from oddbook.freeness import (
     saturate,
     validate_witness,
 )
-from oddbook.graph import Graph, mask_of, random_graph
+from oddbook.graph import Graph, mask_of, random_graph, twin_classes
 from oddbook.pattern import book_order
+from .conftest import BLOWN_UP_SK, blown_up
 from .oracles import (
     complete_bipartite,
     complete_graph,
@@ -678,30 +679,6 @@ def test_added_edge_changes_exactly_the_filtered_goals(seed):
 # verdicts by twin key on blown-up hosts
 
 
-_BLOWN_UP_SK = [(2, 2), (1, 2), (3, 2), (2, 3)]
-
-
-def _blown_up(rng, s, k):
-    """A random graph on 3-6 vertices with each vertex blown up into 1-4
-    false twins under shuffled ids, and up to 3 pairs flipped; at least
-    book_order(s, k) vertices, since smaller hosts hold no copy."""
-    ids = []
-    while len(ids) < book_order(s, k):
-        base = random_graph(rng.randrange(3, 7), rng.uniform(0.3, 0.8), rng)
-        ids = [b for b in range(base.n) for _ in range(rng.randrange(1, 5))]
-    rng.shuffle(ids)
-    n = len(ids)
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if base.has_edge(ids[u], ids[v]):
-                g.add_edge(u, v)
-    for _ in range(rng.randrange(4)):
-        u, v = rng.sample(range(n), 2)
-        (g.delete_edge if g.has_edge(u, v) else g.add_edge)(u, v)
-    return g
-
-
 def _non_edges(g):
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
 
@@ -727,7 +704,7 @@ def test_twin_verdicts_match_unpruned_search(seed, sk):
     are checked against fresh searches below instead."""
     s, k = sk
     rng = random.Random(seed)
-    g = _blown_up(rng, s, k)
+    g = blown_up(rng, s, k)
     free, witness = is_book_free(g, s, k)
     if g.n <= 12:
         assert free == (not contains_book_naive(g, s, k))
@@ -758,8 +735,8 @@ def test_stored_witnesses_are_valid_copies_with_the_fresh_anchor():
     the pattern edge orbit that a fresh search for the asked pair names."""
     moved = 0
     for seed in range(24):
-        s, k = _BLOWN_UP_SK[seed % 4]
-        g = _blown_up(random.Random(seed), s, k)
+        s, k = BLOWN_UP_SK[seed % 4]
+        g = blown_up(random.Random(seed), s, k)
         state = _twin_orders(g)
         for x in range(g.n):
             for y in range(x + 1, g.n):
@@ -791,8 +768,8 @@ def test_book_free_witness_is_the_first_copy_of_a_fresh_scan():
     witness is the one a scan without the memo finds first, with no anchor
     or probe; checked while hub edges are deleted until the host is free."""
     for seed in range(24):
-        s, k = _BLOWN_UP_SK[seed % 4]
-        g = _blown_up(random.Random(seed), s, k)
+        s, k = BLOWN_UP_SK[seed % 4]
+        g = blown_up(random.Random(seed), s, k)
         while True:
             free, witness = is_book_free(g, s, k)
             first = _first_copy_unmemoised(g, s, k)
@@ -809,8 +786,8 @@ def test_shared_state_keeps_first_witnesses_on_blown_up_hosts():
     rows skipped, each non-edge still gets the first witness of a fresh
     call and of the unpruned search."""
     for seed in range(24):
-        s, k = _BLOWN_UP_SK[seed % 4]
-        g = _blown_up(random.Random(seed), s, k)
+        s, k = BLOWN_UP_SK[seed % 4]
+        g = blown_up(random.Random(seed), s, k)
         shared = _neighbor_orders(g)
         for x, y in _non_edges(g):
             w = find_book_using_edge(g, x, y, s, k, _orders=shared)
@@ -851,3 +828,75 @@ def test_saturate_added_edges_pinned(s, n, count):
     else:
         assert hashlib.sha256(json.dumps(added).encode()).hexdigest() == SATURATE_ADDED_SHA256[s, n]
     assert is_maximal_book_free(out, s, 2) == (True, [])
+
+
+def _free(g, s, k):
+    """g with the hub edge of each first copy deleted until it is free."""
+    free, witness = is_book_free(g, s, k)
+    while not free:
+        g.delete_edge(*witness.hub_edge)
+        free, witness = is_book_free(g, s, k)
+    return g
+
+
+def _twin_free_host(rng):
+    while True:
+        g = random_graph(rng.randrange(10, 15), rng.uniform(0.2, 0.5), rng)
+        if len(twin_classes(g)) == g.n:
+            return g
+
+
+def _orbit_hosts(family):
+    if family == "members":
+        return [(build_min_member(plan_layout(n, s, 2, Fraction(1, 2))).graph, s, 2)
+                for s, n in [(2, 64), (2, 128), (3, 40)]]
+    if family == "blown-up":
+        return [(_free(blown_up(random.Random(seed), *BLOWN_UP_SK[seed % 4]),
+                       *BLOWN_UP_SK[seed % 4]), *BLOWN_UP_SK[seed % 4]) for seed in range(8)]
+    return [(_free(_twin_free_host(random.Random(seed)), 2, 2), 2, 2) for seed in range(6)]
+
+
+def _whole_graph_outputs(g, s, k):
+    """saturate's added list, the maximality failing list and, per non-edge
+    on the state those checks build, whether a copy exists and its anchor;
+    then the number of symmetries that state holds."""
+    orders, non_edges = freeness._free_non_edges(g, s, k)
+    anchors = []
+    for x, y in non_edges:
+        w = find_book_using_edge(g, x, y, s, k, _orders=orders)
+        anchors.append(None if w is None else w.anchor)
+    return (saturate(g, s, k)[1], is_maximal_book_free(g, s, k)[1], anchors), len(orders.symmetries)
+
+
+@pytest.mark.parametrize("family", ["members", "blown-up", "twin-free"])
+def test_orbit_keys_match_a_state_without_generators(monkeypatch, family):
+    """Storing each search's result under every twin key of the pair's
+    orbit changes no added list, failing list, verdict or anchor."""
+    hosts = _orbit_hosts(family)
+    with_orbits = [_whole_graph_outputs(g, s, k) for g, s, k in hosts]
+    monkeypatch.setattr(freeness, "quotient_automorphisms", lambda g, classes: [])
+    for (g, s, k), (outputs, symmetries) in zip(hosts, with_orbits):
+        assert _whole_graph_outputs(g, s, k) == (outputs, 0)
+    if family == "members":
+        assert all(symmetries for _, symmetries in with_orbits)
+    if family == "blown-up":  # hosts that are not maximal and have symmetries
+        assert sum(bool(outputs[1]) and symmetries > 0 for outputs, symmetries in with_orbits) >= 3
+
+
+def test_one_search_per_orbit_on_the_member(monkeypatch, min_member_64):
+    """saturate plus the maximality check of the n = 64 member run 672
+    anchored searches when only twin swaps are used, and 277 with the
+    member's 16 quotient automorphisms (4 after saturation)."""
+    calls = []
+
+    def counted(search):
+        def run(*args):
+            calls.append(args[1:3])
+            return search(*args)
+        return run
+
+    for name in ("_find_hub_anchored", "_find_page_anchored"):
+        monkeypatch.setattr(freeness, name, counted(getattr(freeness, name)))
+    out, _ = saturate(min_member_64.graph, 2, 2)
+    assert is_maximal_book_free(out, 2, 2) == (True, [])
+    assert len(calls) <= 300

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oddbook import graph
+from oddbook.construction import build_min_member, plan_layout
+from oddbook.freeness import saturate
 from oddbook.graph import (
     Graph,
     GraphFormatError,
@@ -17,10 +21,12 @@ from oddbook.graph import (
     induced_subgraph,
     is_independent,
     mask_of,
+    quotient_automorphisms,
     random_graph,
+    twin_classes,
     two_coloring,
 )
-from .conftest import petersen
+from .conftest import BLOWN_UP_SK, blown_up, petersen
 from .oracles import (
     complete_graph,
     connected_components_ref,
@@ -306,3 +312,101 @@ def test_first_edge_within_is_first_inside_edge(seed, n):
 def test_bits_and_mask_roundtrip():
     values = [0, 3, 17, 40]
     assert list(bits(mask_of(values))) == values
+
+
+def _member(n, s=2):
+    return build_min_member(plan_layout(n, s, 2, Fraction(1, 2))).graph
+
+
+def _lift(classes, p):
+    """The vertex permutation sending the j-th vertex of class i to the
+    j-th vertex of class p[i]."""
+    sigma = {}
+    for i, c in enumerate(classes):
+        assert len(classes[p[i]]) == len(c)
+        sigma.update(zip(c, classes[p[i]]))
+    return [sigma[v] for v in range(len(sigma))]
+
+
+def _lift_hosts():
+    for n in (64, 128, 256):
+        yield f"member-{n}", _member(n)
+    yield "member-s3-40", _member(40, s=3)
+    for seed in range(12):
+        s, k = BLOWN_UP_SK[seed % 4]
+        yield f"blown-up-{seed}", blown_up(random.Random(seed), s, k)
+    for seed in range(12):
+        rng = random.Random(seed)
+        yield f"random-{seed}", random_graph(rng.randrange(2, 16), rng.uniform(0.1, 0.6), rng)
+
+
+@pytest.mark.parametrize("name, g", [pytest.param(*host, id=host[0]) for host in _lift_hosts()])
+def test_quotient_automorphisms_lift_to_automorphisms(name, g):
+    classes = twin_classes(g)
+    assert sorted(v for c in classes for v in c) == list(range(g.n))
+    assert all(len({g.adj[v] for v in c}) == 1 for c in classes)
+    gens = quotient_automorphisms(g, classes)
+    if name.startswith("member"):
+        assert gens
+    for p in gens:
+        sigma = _lift(classes, p)
+        assert sorted(sigma) == list(range(g.n))
+        assert Graph.from_edges(g.n, [(sigma[u], sigma[v]) for u, v in g.edges()]) == g
+
+
+def _group_order(gens, m):
+    identity = tuple(range(m))
+    seen, todo = {identity}, [identity]
+    for p in todo:
+        for q in gens:
+            r = tuple(q[i] for i in p)
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return len(seen)
+
+
+def _quotient_group_order_nx(g, classes):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    of = {v: i for i, c in enumerate(classes) for v in c}
+    q = nx.Graph()
+    q.add_nodes_from((i, {"size": len(c)}) for i, c in enumerate(classes))
+    q.add_edges_from((of[u], of[v]) for u, v in g.edges())
+    matcher = GraphMatcher(q, q, node_match=lambda a, b: a["size"] == b["size"])
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+@pytest.mark.parametrize("host", ["member-64", "saturated-64", "member-128", "saturated-128",
+                                  "petersen", "c10"])
+def test_quotient_group_order_matches_networkx(host):
+    """On these quotients the generators found span the whole group of
+    size-preserving automorphisms."""
+    if host.startswith(("member", "saturated")):
+        g = _member(int(host.split("-")[1]))
+        if host.startswith("saturated"):
+            g = saturate(g, 2, 2)[0]
+    else:
+        g = petersen() if host == "petersen" else cycle_graph(10)
+    classes = twin_classes(g)
+    order = _group_order(quotient_automorphisms(g, classes), len(classes))
+    assert order == _quotient_group_order_nx(g, classes)
+    assert order > 1
+
+
+def test_unverified_candidate_is_rejected(monkeypatch):
+    """On the path 0-1-2-3 the descent from 3 maps the first leaf by the
+    reversal.  A descent made to return a leaf that swaps 0 and 1 instead
+    (sizes kept, adjacency broken) yields no generator."""
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    classes = twin_classes(g)
+    assert quotient_automorphisms(g, classes) == [[3, 2, 1, 0]]
+    descend = graph._descend
+
+    def wrong(qadj, cells, path):
+        leaf = descend(qadj, cells, path)
+        return leaf if path else [1, 3, 2, 0]  # the first leaf is [0, 3, 2, 1]
+
+    monkeypatch.setattr(graph, "_descend", wrong)
+    assert quotient_automorphisms(g, classes) == []
